@@ -46,6 +46,18 @@
 //! across threads. Return `hw: None` in [`FlushStats`] if the backend
 //! has no cost model.
 //!
+//! [`BackendProgram<T>`](BackendProgram) is generic over the sample
+//! precision `T` ([`flexsfu_core::Element`]: `f64` or `f32`), and
+//! defaults to f64, so `dyn BackendProgram` is the f64 program. A
+//! backend with an f32 datapath also overrides
+//! [`EvalBackend::lower_f32`] and returns a program implementing
+//! `BackendProgram<f32>` — [`NativeProgram<T>`](NativeProgram) is one
+//! type serving both. `lower_f32` is typed as
+//! `Arc<dyn BackendProgramF32>` only because the frozen benchmark names
+//! that type: [`BackendProgramF32`] is an empty supertrait of
+//! `BackendProgram<f32>` that every f32 program implements, and it
+//! upcasts to `Arc<dyn BackendProgram<f32>>`.
+//!
 //! # Example
 //!
 //! ```
@@ -71,10 +83,10 @@
 mod native;
 mod sfu;
 
-pub use native::{NativeBackend, NativeProgram, NativeProgramF32};
+pub use native::{NativeBackend, NativeProgram};
 pub use sfu::{SfuBackend, SfuProgram};
 
-use flexsfu_core::{CompiledPwl, CompiledPwlF32};
+use flexsfu_core::{CompiledPwl, CompiledPwlF32, Element};
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -178,20 +190,26 @@ pub trait EvalBackend: Send + Sync {
     /// silently round-tripping the request through f64).
     ///
     /// [`NativeBackend`] overrides this with the identity lowering onto
-    /// [`flexsfu_core::ParallelPwlF32`].
+    /// [`flexsfu_core::ParallelPwlF32`]. The returned program is a
+    /// [`BackendProgram<f32>`]; see [`BackendProgramF32`].
     fn lower_f32(&self, engine: &CompiledPwlF32) -> Option<Arc<dyn BackendProgramF32>> {
         let _ = engine;
         None
     }
 }
 
-/// A lowered function, ready to batch-evaluate packed buffers.
+/// A lowered function, ready to batch-evaluate packed buffers of
+/// precision `T` — `dyn BackendProgram` is the f64 program
+/// ([`EvalBackend::lower`]), `dyn BackendProgram<f32>` the f32 one
+/// ([`EvalBackend::lower_f32`]). A request evaluated through an f32
+/// program never touches f64: the packed flush buffer, the kernels and
+/// the scattered results are all f32.
 ///
 /// Programs are immutable from the caller's perspective and shared
 /// across the serving worker pool (`Send + Sync`); interior state (like
 /// the SFU emulator's single-ported memories) must synchronize
 /// internally.
-pub trait BackendProgram: Send + Sync {
+pub trait BackendProgram<T: Element = f64>: Send + Sync {
     /// The owning backend's [`EvalBackend::name`].
     fn backend_name(&self) -> &'static str;
 
@@ -203,41 +221,20 @@ pub trait BackendProgram: Send + Sync {
     /// # Panics
     ///
     /// Panics if the output lengths do not sum to `xs.len()`.
-    fn eval_scatter_into(&self, xs: &[f64], outs: &mut [&mut [f64]]) -> FlushStats;
+    fn eval_scatter_into(&self, xs: &[T], outs: &mut [&mut [T]]) -> FlushStats;
 
     /// Convenience: evaluates `xs` into a fresh contiguous `Vec`.
-    fn eval_batch(&self, xs: &[f64]) -> (Vec<f64>, FlushStats) {
-        let mut out = vec![0.0; xs.len()];
+    fn eval_batch(&self, xs: &[T]) -> (Vec<T>, FlushStats) {
+        let mut out = vec![T::default(); xs.len()];
         let stats = self.eval_scatter_into(xs, &mut [out.as_mut_slice()]);
         (out, stats)
     }
 }
 
-/// A lowered single-precision function — the f32 twin of
-/// [`BackendProgram`], produced by [`EvalBackend::lower_f32`]. A request
-/// evaluated through this trait never touches f64: the packed flush
-/// buffer, the kernels and the scattered results are all f32.
-///
-/// Same sharing contract as [`BackendProgram`]: programs are immutable
-/// to callers and shared across the serving worker pool.
-pub trait BackendProgramF32: Send + Sync {
-    /// The owning backend's [`EvalBackend::name`].
-    fn backend_name(&self) -> &'static str;
+/// The f32 program type [`EvalBackend::lower_f32`] returns: exactly
+/// [`BackendProgram<f32>`], under the name the frozen benchmark uses.
+/// Every f32 program implements it; `Arc<dyn BackendProgramF32>`
+/// upcasts to `Arc<dyn BackendProgram<f32>>`.
+pub trait BackendProgramF32: BackendProgram<f32> {}
 
-    /// Evaluates the packed f32 input and scatters results into the
-    /// non-contiguous output slices, in order — the same contract as
-    /// [`flexsfu_core::CompiledPwlF32::eval_scatter_into`] — returning
-    /// what the flush cost.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the output lengths do not sum to `xs.len()`.
-    fn eval_scatter_into(&self, xs: &[f32], outs: &mut [&mut [f32]]) -> FlushStats;
-
-    /// Convenience: evaluates `xs` into a fresh contiguous `Vec`.
-    fn eval_batch(&self, xs: &[f32]) -> (Vec<f32>, FlushStats) {
-        let mut out = vec![0.0; xs.len()];
-        let stats = self.eval_scatter_into(xs, &mut [out.as_mut_slice()]);
-        (out, stats)
-    }
-}
+impl<P: BackendProgram<f32> + ?Sized> BackendProgramF32 for P {}

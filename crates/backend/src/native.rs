@@ -2,7 +2,7 @@
 //! backend.
 
 use crate::{BackendProgram, BackendProgramF32, EvalBackend, FlushStats, LowerError};
-use flexsfu_core::{CompiledPwl, CompiledPwlF32, ParallelPwl, ParallelPwlF32};
+use flexsfu_core::{CompiledPwl, CompiledPwlF32, Element, ParallelPwl};
 use std::sync::Arc;
 
 /// The native backend: lowering is a no-op re-wrap of the engine, and
@@ -32,74 +32,42 @@ impl EvalBackend for NativeBackend {
     }
 
     fn lower_f32(&self, engine: &CompiledPwlF32) -> Option<Arc<dyn BackendProgramF32>> {
-        Some(Arc::new(NativeProgramF32::from_engine(Arc::new(
-            ParallelPwlF32::new(engine.clone()),
+        Some(Arc::new(NativeProgram::from_engine(Arc::new(
+            ParallelPwl::new(engine.clone()),
         ))))
     }
 }
 
-/// A lowered native program: a shared [`ParallelPwl`].
+/// A lowered native program in precision `T`: a shared
+/// [`ParallelPwl<T>`]. `NativeProgram` is the f64 program and
+/// `NativeProgram<f32>` the identity f32 lowering — the eight-wide f32
+/// lane kernels with no f64 round-trip anywhere. Each flush reports its
+/// element count (`hw: None`: no hardware cost model applies).
 #[derive(Debug, Clone)]
-pub struct NativeProgram {
-    engine: Arc<ParallelPwl>,
+pub struct NativeProgram<T: Element = f64> {
+    engine: Arc<ParallelPwl<T>>,
 }
 
-impl NativeProgram {
+impl<T: Element> NativeProgram<T> {
     /// Wraps an engine a caller already holds, without re-compiling —
     /// for embedders that want the program and their own engine handle
     /// to share one allocation.
-    pub fn from_engine(engine: Arc<ParallelPwl>) -> Self {
+    pub fn from_engine(engine: Arc<ParallelPwl<T>>) -> Self {
         Self { engine }
     }
 
     /// The wrapped threaded engine.
-    pub fn engine(&self) -> &Arc<ParallelPwl> {
+    pub fn engine(&self) -> &Arc<ParallelPwl<T>> {
         &self.engine
     }
 }
 
-impl BackendProgram for NativeProgram {
+impl<T: Element> BackendProgram<T> for NativeProgram<T> {
     fn backend_name(&self) -> &'static str {
         "native"
     }
 
-    fn eval_scatter_into(&self, xs: &[f64], outs: &mut [&mut [f64]]) -> FlushStats {
-        self.engine.eval_scatter_into(xs, outs);
-        FlushStats {
-            elems: xs.len(),
-            hw: None,
-        }
-    }
-}
-
-/// A lowered single-precision native program: a shared
-/// [`ParallelPwlF32`]. The identity f32 lowering — evaluation runs the
-/// eight-wide f32 lane kernels with no f64 round-trip anywhere, and each
-/// flush reports its element count (`hw: None`, like the f64 native
-/// program).
-#[derive(Debug, Clone)]
-pub struct NativeProgramF32 {
-    engine: Arc<ParallelPwlF32>,
-}
-
-impl NativeProgramF32 {
-    /// Wraps an f32 engine a caller already holds, without re-compiling.
-    pub fn from_engine(engine: Arc<ParallelPwlF32>) -> Self {
-        Self { engine }
-    }
-
-    /// The wrapped threaded f32 engine.
-    pub fn engine(&self) -> &Arc<ParallelPwlF32> {
-        &self.engine
-    }
-}
-
-impl BackendProgramF32 for NativeProgramF32 {
-    fn backend_name(&self) -> &'static str {
-        "native"
-    }
-
-    fn eval_scatter_into(&self, xs: &[f32], outs: &mut [&mut [f32]]) -> FlushStats {
+    fn eval_scatter_into(&self, xs: &[T], outs: &mut [&mut [T]]) -> FlushStats {
         self.engine.eval_scatter_into(xs, outs);
         FlushStats {
             elems: xs.len(),

@@ -136,37 +136,43 @@ impl RunStats {
 /// *completed* during the call (zero or more — the batched design
 /// completes windowed requests late, on drain). Returns aggregate
 /// throughput and the full latency set.
+///
+/// Each client stamps its own start (on leaving the start barrier) and
+/// end (after its last request completed), and throughput is total
+/// elements over (latest end − earliest start): no timer can start
+/// after a client is already running or stop before one finishes.
 fn run_clients<F>(clients: usize, serve_request: F) -> RunStats
 where
     F: Fn(usize, usize, Vec<f64>, &mut Vec<Duration>) + Sync,
 {
-    let barrier = Barrier::new(clients + 1);
+    let barrier = Barrier::new(clients);
     let all_latencies = Mutex::new(Vec::new());
-    let started = Mutex::new(None::<Instant>);
+    let spans = Mutex::new(Vec::with_capacity(clients));
     std::thread::scope(|scope| {
         for c in 0..clients {
             let barrier = &barrier;
             let all_latencies = &all_latencies;
+            let spans = &spans;
             let serve_request = &serve_request;
             scope.spawn(move || {
                 let mut local = Vec::with_capacity(REQS_PER_CLIENT);
                 barrier.wait();
+                let start = Instant::now();
                 for r in 0..REQS_PER_CLIENT {
                     let data = request(c * REQS_PER_CLIENT + r);
                     serve_request(c, r, data, &mut local);
                 }
+                let end = Instant::now();
                 all_latencies.lock().unwrap().extend(local);
+                spans.lock().unwrap().push((start, end));
             });
         }
-        barrier.wait();
-        *started.lock().unwrap() = Some(Instant::now());
         // The scope joins every client before returning.
     });
-    let elapsed = started
-        .lock()
-        .unwrap()
-        .expect("set after barrier")
-        .elapsed();
+    let spans = spans.into_inner().unwrap();
+    let first_start = spans.iter().map(|&(s, _)| s).min().expect("one client");
+    let last_end = spans.iter().map(|&(_, e)| e).max().expect("one client");
+    let elapsed = last_end - first_start;
     let requests = clients * REQS_PER_CLIENT;
     let mut latencies = all_latencies.into_inner().unwrap();
     assert_eq!(latencies.len(), requests, "every request must be observed");
@@ -324,6 +330,8 @@ fn main() {
     let online = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
+    // Simulate the shared workload now, so no timed run pays for it.
+    workload_trace();
     let gelu: PwlFunction = uniform_pwl(&Gelu, 63, (-8.0, 8.0));
     let tanh: PwlFunction = uniform_pwl(&Tanh, 63, (-8.0, 8.0));
     let engine = Arc::new(CompiledPwl::from_pwl(&gelu));

@@ -81,6 +81,7 @@
 //! ```
 
 use crate::coeffs::CoeffTable;
+use crate::element::{scatter_into, CompiledEngine, Element};
 use crate::pwl::PwlFunction;
 use crate::simd::{F64x4, F64_LANES};
 
@@ -89,11 +90,11 @@ const LINEAR_SCAN_MAX_SEGMENTS: usize = 8;
 
 /// Batch evaluation proceeds in chunks of this many elements to keep the
 /// working set cache-resident.
-const CHUNK: usize = 4096;
+pub(crate) const CHUNK: usize = 4096;
 
 /// Below this many elements [`ParallelPwl`] stays serial — thread spawn
 /// overhead would dominate.
-const PARALLEL_MIN_ELEMENTS: usize = 1 << 15;
+pub(crate) const PARALLEL_MIN_ELEMENTS: usize = 1 << 15;
 
 /// Elements per block in the SIMD lane kernels. Each block runs as
 /// distributed passes (vector index math, scalar table gathers, vector
@@ -1037,26 +1038,7 @@ impl CompiledPwl {
     ///
     /// Panics if the output lengths do not sum to `xs.len()`.
     pub fn eval_scatter_into(&self, xs: &[f64], outs: &mut [&mut [f64]]) {
-        let total: usize = outs.iter().map(|o| o.len()).sum();
-        assert_eq!(xs.len(), total, "output slices must partition the input");
-        let mut scratch = vec![0.0; xs.len().min(CHUNK)];
-        let mut job = 0usize; // output slice currently being filled
-        let mut filled = 0usize; // elements of outs[job] already written
-        for xc in xs.chunks(CHUNK) {
-            let sc = &mut scratch[..xc.len()];
-            self.eval_chunk(xc, sc);
-            let mut off = 0;
-            while off < sc.len() {
-                while outs[job].len() == filled {
-                    job += 1;
-                    filled = 0;
-                }
-                let take = (outs[job].len() - filled).min(sc.len() - off);
-                outs[job][filled..filled + take].copy_from_slice(&sc[off..off + take]);
-                filled += take;
-                off += take;
-            }
-        }
+        scatter_into::<f64>(self, xs, outs);
     }
 
     /// Evaluates every sample *and* records its table-order segment index
@@ -1105,7 +1087,10 @@ impl PwlEvaluator for CompiledPwl {
     }
 }
 
-/// A [`CompiledPwl`] that fans batch evaluation out over OS threads.
+/// A compiled engine that fans batch evaluation out over OS threads —
+/// one type for both precisions: `ParallelPwl` (f64, over a
+/// [`CompiledPwl`]) and [`crate::ParallelPwlF32`] (f32, over a
+/// [`crate::CompiledPwlF32`]).
 ///
 /// Small batches (below ~32 k elements) run serially — the crossover where
 /// thread spawning pays for itself. Results are identical to the serial
@@ -1125,15 +1110,19 @@ impl PwlEvaluator for CompiledPwl {
 /// # Ok::<(), flexsfu_core::PwlError>(())
 /// ```
 #[derive(Debug, Clone)]
-pub struct ParallelPwl {
-    inner: CompiledPwl,
+pub struct ParallelPwl<T: Element = f64> {
+    inner: T::Engine,
     threads: usize,
 }
 
-impl ParallelPwl {
+impl<T: Element> ParallelPwl<T> {
     /// Wraps `inner`, sizing the pool to the machine's available
-    /// parallelism.
-    pub fn new(inner: CompiledPwl) -> Self {
+    /// parallelism. The precision follows from the engine.
+    pub fn new<E>(inner: E) -> Self
+    where
+        E: CompiledEngine<Elem = T>,
+        T: Element<Engine = E>,
+    {
         let threads = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
@@ -1145,19 +1134,56 @@ impl ParallelPwl {
     /// # Panics
     ///
     /// Panics if `threads == 0`.
-    pub fn with_threads(inner: CompiledPwl, threads: usize) -> Self {
+    pub fn with_threads<E>(inner: E, threads: usize) -> Self
+    where
+        E: CompiledEngine<Elem = T>,
+        T: Element<Engine = E>,
+    {
         assert!(threads > 0, "need at least one thread");
         Self { inner, threads }
     }
 
     /// The wrapped serial engine.
-    pub fn engine(&self) -> &CompiledPwl {
+    pub fn engine(&self) -> &T::Engine {
         &self.inner
     }
 
     /// Configured thread count.
     pub fn threads(&self) -> usize {
         self.threads
+    }
+
+    /// Scalar evaluation on the wrapped engine.
+    pub fn eval_one(&self, x: T) -> T {
+        T::eval_one(&self.inner, x)
+    }
+
+    /// Threaded batch evaluation; serial below the crossover.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xs.len() != out.len()`.
+    pub fn eval_into(&self, xs: &[T], out: &mut [T]) {
+        assert_eq!(xs.len(), out.len(), "input/output length mismatch");
+        let n = xs.len();
+        if self.threads == 1 || n < PARALLEL_MIN_ELEMENTS {
+            return T::eval_into(&self.inner, xs, out);
+        }
+        let workers = self.threads.min(n);
+        let per = n.div_ceil(workers);
+        std::thread::scope(|scope| {
+            for (xc, oc) in xs.chunks(per).zip(out.chunks_mut(per)) {
+                let engine = &self.inner;
+                scope.spawn(move || T::eval_into(engine, xc, oc));
+            }
+        });
+    }
+
+    /// Evaluates `xs` into a fresh `Vec`.
+    pub fn eval_batch(&self, xs: &[T]) -> Vec<T> {
+        let mut out = vec![T::default(); xs.len()];
+        self.eval_into(xs, &mut out);
+        out
     }
 
     /// The threaded counterpart of [`CompiledPwl::eval_scatter_into`]:
@@ -1173,11 +1199,11 @@ impl ParallelPwl {
     /// # Panics
     ///
     /// Panics if the output lengths do not sum to `xs.len()`.
-    pub fn eval_scatter_into(&self, xs: &[f64], outs: &mut [&mut [f64]]) {
+    pub fn eval_scatter_into(&self, xs: &[T], outs: &mut [&mut [T]]) {
         let total: usize = outs.iter().map(|o| o.len()).sum();
         assert_eq!(xs.len(), total, "output slices must partition the input");
         if self.threads == 1 || total < PARALLEL_MIN_ELEMENTS {
-            return self.inner.eval_scatter_into(xs, outs);
+            return scatter_into::<T>(&self.inner, xs, outs);
         }
         let per = total.div_ceil(self.threads);
         std::thread::scope(|scope| {
@@ -1206,7 +1232,7 @@ impl ParallelPwl {
                 let xc = &xs[off..off + take_elems];
                 off += take_elems;
                 let engine = &self.inner;
-                scope.spawn(move || engine.eval_scatter_into(xc, run));
+                scope.spawn(move || scatter_into::<T>(engine, xc, run));
             }
         });
     }
@@ -1214,29 +1240,18 @@ impl ParallelPwl {
 
 impl PwlEvaluator for ParallelPwl {
     fn eval_one(&self, x: f64) -> f64 {
-        self.inner.eval_one(x)
+        ParallelPwl::eval_one(self, x)
     }
 
     fn eval_into(&self, xs: &[f64], out: &mut [f64]) {
-        assert_eq!(xs.len(), out.len(), "input/output length mismatch");
-        let n = xs.len();
-        if self.threads == 1 || n < PARALLEL_MIN_ELEMENTS {
-            return self.inner.eval_into(xs, out);
-        }
-        let workers = self.threads.min(n);
-        let per = n.div_ceil(workers);
-        std::thread::scope(|scope| {
-            for (xc, oc) in xs.chunks(per).zip(out.chunks_mut(per)) {
-                let engine = &self.inner;
-                scope.spawn(move || engine.eval_into(xc, oc));
-            }
-        });
+        ParallelPwl::eval_into(self, xs, out);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::element::splitter_tests;
 
     fn sample_pwl() -> PwlFunction {
         PwlFunction::new(
@@ -1413,54 +1428,17 @@ mod tests {
 
     #[test]
     fn scatter_parallel_splits_at_job_boundaries() {
-        // Above PARALLEL_MIN_ELEMENTS so the threaded path engages, with
-        // one oversized job that must become a run of its own.
-        let pwl = sample_pwl();
-        let c = CompiledPwl::from_pwl(&pwl);
-        let n = PARALLEL_MIN_ELEMENTS * 2;
-        let xs = dense_grid(-6.0, 6.0, n);
-        let want = c.eval_batch(&xs);
-        let big = n - 1000;
-        let sizes = [300usize, big, 0, 700];
-        let mut bufs: Vec<Vec<f64>> = sizes.iter().map(|&s| vec![0.0; s]).collect();
-        let mut views: Vec<&mut [f64]> = bufs.iter_mut().map(|b| b.as_mut_slice()).collect();
-        ParallelPwl::with_threads(c, 4).eval_scatter_into(&xs, &mut views);
-        let flat: Vec<f64> = bufs.concat();
-        for (i, (&w, &got)) in want.iter().zip(&flat).enumerate() {
-            assert_eq!(got.to_bits(), w.to_bits(), "parallel scatter at {i}");
-        }
+        splitter_tests::splits_at_job_boundaries::<f64>();
     }
 
     #[test]
     fn scatter_parallel_caps_runs_at_thread_count() {
-        // 7 jobs, each just over half the per-thread share: the greedy
-        // splitter would otherwise make 7 single-job runs on a 4-thread
-        // engine; the cap folds the tail into the final run. Results
-        // must be unchanged.
-        let pwl = sample_pwl();
-        let c = CompiledPwl::from_pwl(&pwl);
-        let job = (PARALLEL_MIN_ELEMENTS * 2).div_ceil(7) + 1;
-        let n = job * 7;
-        let xs = dense_grid(-6.0, 6.0, n);
-        let want = c.eval_batch(&xs);
-        let mut bufs: Vec<Vec<f64>> = (0..7).map(|_| vec![0.0; job]).collect();
-        let mut views: Vec<&mut [f64]> = bufs.iter_mut().map(|b| b.as_mut_slice()).collect();
-        ParallelPwl::with_threads(c, 4).eval_scatter_into(&xs, &mut views);
-        let flat: Vec<f64> = bufs.concat();
-        for (i, (&w, &got)) in want.iter().zip(&flat).enumerate() {
-            assert_eq!(got.to_bits(), w.to_bits(), "capped-run scatter at {i}");
-        }
+        splitter_tests::caps_runs_at_thread_count::<f64>();
     }
 
     #[test]
     fn scatter_accepts_empty_input_and_outputs() {
-        let c = CompiledPwl::from_pwl(&sample_pwl());
-        let mut views: Vec<&mut [f64]> = Vec::new();
-        c.eval_scatter_into(&[], &mut views);
-        let mut a: Vec<f64> = Vec::new();
-        let mut b: Vec<f64> = Vec::new();
-        let mut views = [a.as_mut_slice(), b.as_mut_slice()];
-        c.eval_scatter_into(&[], &mut views);
+        splitter_tests::accepts_empty_input_and_outputs::<f64>();
     }
 
     #[test]

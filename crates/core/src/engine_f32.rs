@@ -66,6 +66,7 @@
 //! # Ok::<(), flexsfu_core::PwlError>(())
 //! ```
 
+use crate::element::scatter_into;
 use crate::engine::CompiledPwl;
 use crate::pwl::PwlFunction;
 use crate::simd::{F32x8, F32_LANES};
@@ -76,9 +77,6 @@ const LINEAR_SCAN_MAX_SEGMENTS: usize = 8;
 /// Batch evaluation proceeds in chunks of this many elements to keep the
 /// working set cache-resident.
 const CHUNK: usize = 4096;
-
-/// Below this many elements [`ParallelPwlF32`] stays serial.
-const PARALLEL_MIN_ELEMENTS: usize = 1 << 15;
 
 /// Elements per block in the SIMD lane kernels; 32 elements is 4
 /// [`F32x8`] groups per pass.
@@ -1028,26 +1026,7 @@ impl CompiledPwlF32 {
     ///
     /// Panics if the output lengths do not sum to `xs.len()`.
     pub fn eval_scatter_into(&self, xs: &[f32], outs: &mut [&mut [f32]]) {
-        let total: usize = outs.iter().map(|o| o.len()).sum();
-        assert_eq!(xs.len(), total, "output slices must partition the input");
-        let mut scratch = vec![0.0; xs.len().min(CHUNK)];
-        let mut job = 0usize;
-        let mut filled = 0usize;
-        for xc in xs.chunks(CHUNK) {
-            let sc = &mut scratch[..xc.len()];
-            self.eval_chunk(xc, sc);
-            let mut off = 0;
-            while off < sc.len() {
-                while outs[job].len() == filled {
-                    job += 1;
-                    filled = 0;
-                }
-                let take = (outs[job].len() - filled).min(sc.len() - off);
-                outs[job][filled..filled + take].copy_from_slice(&sc[off..off + take]);
-                filled += take;
-                off += take;
-            }
-        }
+        scatter_into::<f32>(self, xs, outs);
     }
 
     /// Evaluates every sample *and* records its table-order segment
@@ -1078,129 +1057,15 @@ impl CompiledPwlF32 {
     }
 }
 
-/// A [`CompiledPwlF32`] that fans batch evaluation out over OS threads —
-/// the f32 mirror of [`crate::ParallelPwl`], with the same serial
-/// crossover and the same job-boundary run splitting, so results are
-/// identical to the serial engine regardless of thread count.
-#[derive(Debug, Clone)]
-pub struct ParallelPwlF32 {
-    inner: CompiledPwlF32,
-    threads: usize,
-}
-
-impl ParallelPwlF32 {
-    /// Wraps `inner`, sizing the pool to the machine's available
-    /// parallelism.
-    pub fn new(inner: CompiledPwlF32) -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Self::with_threads(inner, threads)
-    }
-
-    /// Wraps `inner` with an explicit thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn with_threads(inner: CompiledPwlF32, threads: usize) -> Self {
-        assert!(threads > 0, "need at least one thread");
-        Self { inner, threads }
-    }
-
-    /// The wrapped serial engine.
-    pub fn engine(&self) -> &CompiledPwlF32 {
-        &self.inner
-    }
-
-    /// Configured thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Scalar evaluation on the wrapped engine.
-    pub fn eval_one(&self, x: f32) -> f32 {
-        self.inner.eval_one(x)
-    }
-
-    /// Threaded batch evaluation; serial below the crossover.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xs.len() != out.len()`.
-    pub fn eval_into(&self, xs: &[f32], out: &mut [f32]) {
-        assert_eq!(xs.len(), out.len(), "input/output length mismatch");
-        let n = xs.len();
-        if self.threads == 1 || n < PARALLEL_MIN_ELEMENTS {
-            return self.inner.eval_into(xs, out);
-        }
-        let workers = self.threads.min(n);
-        let per = n.div_ceil(workers);
-        std::thread::scope(|scope| {
-            for (xc, oc) in xs.chunks(per).zip(out.chunks_mut(per)) {
-                let engine = &self.inner;
-                scope.spawn(move || engine.eval_into(xc, oc));
-            }
-        });
-    }
-
-    /// Evaluates `xs` into a fresh `Vec`.
-    pub fn eval_batch(&self, xs: &[f32]) -> Vec<f32> {
-        let mut out = vec![0.0; xs.len()];
-        self.eval_into(xs, &mut out);
-        out
-    }
-
-    /// The threaded counterpart of
-    /// [`CompiledPwlF32::eval_scatter_into`]: the output list is split
-    /// into contiguous runs of roughly equal element counts at job
-    /// boundaries (a single job is never split across threads), so each
-    /// thread runs the serial scatter kernel independently — results
-    /// are identical to the serial path regardless of thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the output lengths do not sum to `xs.len()`.
-    pub fn eval_scatter_into(&self, xs: &[f32], outs: &mut [&mut [f32]]) {
-        let total: usize = outs.iter().map(|o| o.len()).sum();
-        assert_eq!(xs.len(), total, "output slices must partition the input");
-        if self.threads == 1 || total < PARALLEL_MIN_ELEMENTS {
-            return self.inner.eval_scatter_into(xs, outs);
-        }
-        let per = total.div_ceil(self.threads);
-        std::thread::scope(|scope| {
-            let mut rest = outs;
-            let mut off = 0usize;
-            let mut runs_left = self.threads;
-            while !rest.is_empty() {
-                // Greedily take whole jobs up to ~`per` elements; the
-                // final allowed run absorbs everything left.
-                let mut take_elems = 0usize;
-                let mut k = 0usize;
-                if runs_left == 1 {
-                    k = rest.len();
-                    take_elems = total - off;
-                } else {
-                    while k < rest.len() && (k == 0 || take_elems + rest[k].len() <= per) {
-                        take_elems += rest[k].len();
-                        k += 1;
-                    }
-                }
-                runs_left -= 1;
-                let run;
-                (run, rest) = rest.split_at_mut(k);
-                let xc = &xs[off..off + take_elems];
-                off += take_elems;
-                let engine = &self.inner;
-                scope.spawn(move || engine.eval_scatter_into(xc, run));
-            }
-        });
-    }
-}
+/// The threaded f32 engine: [`crate::ParallelPwl`] over a
+/// [`CompiledPwlF32`], with the same serial crossover and job-boundary
+/// run splitting as the f64 fan-out.
+pub type ParallelPwlF32 = crate::ParallelPwl<f32>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::element::splitter_tests;
 
     fn sample_pwl() -> PwlFunction {
         PwlFunction::new(
@@ -1389,26 +1254,17 @@ mod tests {
 
     #[test]
     fn scatter_parallel_splits_at_job_boundaries() {
-        let c = CompiledPwlF32::from_pwl(&sample_pwl());
-        let n = PARALLEL_MIN_ELEMENTS * 2;
-        let xs = dense_grid(-6.0, 6.0, n);
-        let want = c.eval_batch(&xs);
-        let big = n - 1000;
-        let sizes = [300usize, big, 0, 700];
-        let mut bufs: Vec<Vec<f32>> = sizes.iter().map(|&s| vec![0.0; s]).collect();
-        let mut views: Vec<&mut [f32]> = bufs.iter_mut().map(|b| b.as_mut_slice()).collect();
-        ParallelPwlF32::with_threads(c, 4).eval_scatter_into(&xs, &mut views);
-        let flat: Vec<f32> = bufs.concat();
-        for (i, (&w, &got)) in want.iter().zip(&flat).enumerate() {
-            assert_eq!(got.to_bits(), w.to_bits(), "parallel scatter at {i}");
-        }
+        splitter_tests::splits_at_job_boundaries::<f32>();
+    }
+
+    #[test]
+    fn scatter_parallel_caps_runs_at_thread_count() {
+        splitter_tests::caps_runs_at_thread_count::<f32>();
     }
 
     #[test]
     fn scatter_accepts_empty_input_and_outputs() {
-        let c = CompiledPwlF32::from_pwl(&sample_pwl());
-        let mut views: Vec<&mut [f32]> = Vec::new();
-        c.eval_scatter_into(&[], &mut views);
+        splitter_tests::accepts_empty_input_and_outputs::<f32>();
     }
 
     #[test]

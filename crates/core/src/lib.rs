@@ -27,6 +27,10 @@
 //!   lanes and half the table bandwidth, bit-identical across its own
 //!   scalar/batch/SIMD/scatter paths and within a declared ULP budget of
 //!   the f64 reference,
+//! * [`element`] — the sealed [`Element`] trait (`f64`, `f32`) naming
+//!   each precision's compiled engine, over which [`ParallelPwl`] and
+//!   the downstream serving, backend and wire lanes are written once
+//!   ([`ParallelPwlF32`] is `ParallelPwl<f32>`),
 //! * [`simd`] — the fixed-width lane types ([`simd::F64x4`],
 //!   [`simd::F32x8`]) the engine's vectorized kernels are written
 //!   against, with an AVX2 runtime-dispatch path and a nightly
@@ -55,6 +59,7 @@
 
 pub mod boundary;
 pub mod coeffs;
+pub mod element;
 pub mod engine;
 pub mod engine_f32;
 pub mod init;
@@ -66,6 +71,7 @@ pub mod simd;
 mod error;
 
 pub use coeffs::CoeffTable;
+pub use element::{CompiledEngine, Element};
 pub use engine::{CompiledPwl, ParallelPwl, PwlEvaluator};
 pub use engine_f32::{CompiledPwlF32, ParallelPwlF32};
 pub use error::PwlError;

@@ -19,6 +19,7 @@
 //! submitted payloads, which is what makes recorded-trace replays
 //! reproduce drift decisions bit-for-bit.
 
+use flexsfu_core::Element;
 use std::sync::Mutex;
 
 /// Bucket count every registry histogram uses. Fixed (rather than
@@ -179,15 +180,12 @@ impl HistogramAccum {
         Self(Mutex::new(InputHistogramSnapshot::empty(lo, hi, buckets)))
     }
 
-    pub(crate) fn record_f64(&self, xs: &[f64]) {
-        self.0.lock().unwrap().record_slice(xs);
-    }
-
-    /// f32 flushes feed the same histogram — the cast to f64 is exact.
-    pub(crate) fn record_f32(&self, xs: &[f32]) {
+    /// Tallies one flush's inputs. Both precisions feed the same
+    /// histogram — the widening to f64 is exact.
+    pub(crate) fn record<T: Element>(&self, xs: &[T]) {
         let mut h = self.0.lock().unwrap();
         for &x in xs {
-            h.record(f64::from(x));
+            h.record(x.into());
         }
     }
 
@@ -267,8 +265,8 @@ mod tests {
     #[test]
     fn accum_drain_resets_but_keeps_shape() {
         let acc = HistogramAccum::new(-4.0, 4.0, 16);
-        acc.record_f64(&[0.0, 1.0, 2.0]);
-        acc.record_f32(&[-1.0, -2.0]);
+        acc.record(&[0.0f64, 1.0, 2.0]);
+        acc.record(&[-1.0f32, -2.0]);
         let first = acc.drain();
         assert_eq!(first.total(), 5);
         let second = acc.snapshot();

@@ -62,17 +62,25 @@
 //!   breakpoint span and survives publishes, so an adaptive retuner can
 //!   compare live traffic against its tuning-time snapshot across
 //!   hot-swaps (see the `flexsfu-traffic` crate's drift detector).
-//! * **A single-precision job lane** — [`ServeHandle::submit_f32`]
-//!   serves `Vec<f32>` tensors end to end in f32: the packed flush
-//!   buffer, the backend's f32 program
-//!   ([`flexsfu_backend::BackendProgramF32`], the eight-wide f32
-//!   kernels on the native backend) and the scattered results never
-//!   touch f64, and the scatter-back is bit-identical to evaluating
-//!   the tensor directly with [`FunctionRegistry::engine_f32`]. Both
+//! * **One job lane per precision, one code path** — [`ServeHandle::submit`]
+//!   is generic over the tensor's element type ([`ServeElement`]: `f64`
+//!   or `f32`, sealed through [`flexsfu_core::Element`]) and returns a
+//!   [`JobTicket<T>`](JobTicket). A `Vec<f32>` job is served end to end
+//!   in f32: the packed flush buffer, the backend's
+//!   [`BackendProgram<f32>`](flexsfu_backend::BackendProgram) (the
+//!   eight-wide f32 kernels on the native backend) and the scattered
+//!   results never touch f64, and the scatter-back is bit-identical to
+//!   evaluating the tensor directly with
+//!   [`FunctionRegistry::engine_f32`]. Admission, planning, packing,
+//!   evaluation and scatter-back are each written once over the
+//!   precision; the lanes differ only in which queue and flush-unit
+//!   variant carries a job and which backend program evaluates it. Both
 //!   precisions share a function's queue accounting and flush policy,
 //!   but a flush unit never mixes precisions. Backends without an f32
 //!   lane reject f32 jobs at admission with
 //!   [`ServeError::PrecisionUnsupported`].
+//!   [`ServeHandle::submit_f32`] remains as a one-line forwarder only
+//!   because the frozen benchmark calls it.
 //!
 //! # Example
 //!
@@ -88,7 +96,9 @@
 //! let server = PwlServer::start(Arc::clone(&registry), ServeConfig::default());
 //! let handle = server.handle();
 //!
-//! let ticket = handle.submit(gelu, vec![-1.0, 0.0, 2.0])?;
+//! // The lane follows the tensor's element type: f64 here, f32 for a
+//! // `Vec<f32>`.
+//! let ticket = handle.submit(gelu, vec![-1.0f64, 0.0, 2.0])?;
 //! let ys = ticket.wait()?;
 //! assert_eq!(ys.len(), 3);
 //!
@@ -128,5 +138,5 @@ pub use obs::ServeObs;
 pub use plan::{FlushPlan, GroupPlan, JobSpan};
 pub use registry::{BackendStatsSnapshot, FunctionId, FunctionRegistry};
 pub use server::{
-    FlushPolicy, JobTicket, JobTicketF32, PwlServer, QueueDepth, ServeConfig, ServeHandle,
+    FlushPolicy, JobTicket, PwlServer, QueueDepth, ServeConfig, ServeElement, ServeHandle,
 };

@@ -36,9 +36,10 @@ use crate::histogram::HistogramAccum;
 use crate::obs::{FuncObs, ObsState, ServeObs};
 use crate::oneshot;
 use crate::plan::FlushPlan;
-use crate::registry::{FunctionId, FunctionRegistry, StatsAccumulator};
+use crate::registry::{Bound, FunctionId, FunctionRegistry, StatsAccumulator};
 use crate::testkit::Faults;
-use flexsfu_backend::{BackendProgram, BackendProgramF32};
+use flexsfu_backend::BackendProgram;
+use flexsfu_core::Element;
 use flexsfu_obs::{SpanCell, Stage};
 use std::collections::HashMap;
 use std::sync::mpsc;
@@ -117,11 +118,62 @@ impl Default for ServeConfig {
     }
 }
 
+/// A precision the serving tier batches: `f64` or `f32` (sealed, like
+/// [`Element`]). The hooks below are the only places the two lanes
+/// differ — which queue and flush-unit variant carries a job, and which
+/// of a function's backend programs evaluates it; admission, planning,
+/// packing, evaluation and scatter-back are written once over `T`.
+pub trait ServeElement: Element {
+    /// Tags a job with its precision for the shared queue.
+    #[doc(hidden)]
+    fn queued(job: LaneJob<Self>) -> Job;
+
+    /// Tags a flush unit with its precision for the worker channel.
+    #[doc(hidden)]
+    fn unit(unit: LaneUnit<Self>) -> FlushUnit;
+
+    /// The binding's backend program in this precision, or `None` when
+    /// its backend has no such lane.
+    #[doc(hidden)]
+    fn program(bound: &Bound) -> Option<&Arc<dyn BackendProgram<Self>>>;
+}
+
+impl ServeElement for f64 {
+    fn queued(job: LaneJob<f64>) -> Job {
+        Job::F64(job)
+    }
+
+    fn unit(unit: LaneUnit<f64>) -> FlushUnit {
+        FlushUnit::F64(unit)
+    }
+
+    fn program(bound: &Bound) -> Option<&Arc<dyn BackendProgram>> {
+        Some(&bound.program)
+    }
+}
+
+impl ServeElement for f32 {
+    fn queued(job: LaneJob<f32>) -> Job {
+        Job::F32(job)
+    }
+
+    fn unit(unit: LaneUnit<f32>) -> FlushUnit {
+        FlushUnit::F32(unit)
+    }
+
+    fn program(bound: &Bound) -> Option<&Arc<dyn BackendProgram<f32>>> {
+        bound.program_f32.as_ref()
+    }
+}
+
 /// One pending job: the tensor (in its submitted precision), its target
-/// function, and the channel the result goes back over.
-struct Job {
+/// function, and the channel the result goes back over. An f32 job
+/// stays f32 from submission to scatter-back — the packed flush buffer,
+/// the kernels and the result vector never touch f64.
+pub struct LaneJob<T: Element> {
     func: FunctionId,
-    data: JobData,
+    data: Vec<T>,
+    tx: oneshot::Sender<Vec<T>>,
     /// Enqueue instant (obs clock, ns) — the queue-wait anchor. Zero
     /// when the server runs without observability.
     enqueued_ns: u64,
@@ -129,27 +181,17 @@ struct Job {
     span: Option<Arc<SpanCell>>,
 }
 
-/// A job's payload and result channel, tagged by precision. An f32 job
-/// stays f32 from submission to scatter-back — the packed flush buffer,
-/// the kernels and the result vector never touch f64.
-enum JobData {
-    F64 {
-        data: Vec<f64>,
-        tx: oneshot::Sender<Vec<f64>>,
-    },
-    F32 {
-        data: Vec<f32>,
-        tx: oneshot::Sender<Vec<f32>>,
-    },
+/// A queued job, tagged by precision: both precisions share one queue.
+pub enum Job {
+    F64(LaneJob<f64>),
+    F32(LaneJob<f32>),
 }
 
-impl JobData {
-    /// Element count — queue accounting and flush-policy triggers are
-    /// element-based regardless of precision.
-    fn len(&self) -> usize {
+impl Job {
+    fn func(&self) -> FunctionId {
         match self {
-            JobData::F64 { data, .. } => data.len(),
-            JobData::F32 { data, .. } => data.len(),
+            Job::F64(j) => j.func,
+            Job::F32(j) => j.func,
         }
     }
 }
@@ -162,23 +204,19 @@ type PackedJob<T> = (usize, oneshot::Sender<Vec<T>>, Option<Arc<SpanCell>>);
 /// backend program snapshot it evaluates through (in the flush's
 /// precision — a unit never mixes precisions, just as it never mixes
 /// functions), and the stats sink the flush's cost lands in.
-enum FlushUnit {
-    F64 {
-        program: Arc<dyn BackendProgram>,
-        stats: Arc<StatsAccumulator>,
-        histogram: Arc<HistogramAccum>,
-        xs: Vec<f64>,
-        jobs: Vec<PackedJob<f64>>,
-        obs: Option<UnitObs>,
-    },
-    F32 {
-        program: Arc<dyn BackendProgramF32>,
-        stats: Arc<StatsAccumulator>,
-        histogram: Arc<HistogramAccum>,
-        xs: Vec<f32>,
-        jobs: Vec<PackedJob<f32>>,
-        obs: Option<UnitObs>,
-    },
+pub struct LaneUnit<T: Element> {
+    program: Arc<dyn BackendProgram<T>>,
+    stats: Arc<StatsAccumulator>,
+    histogram: Arc<HistogramAccum>,
+    xs: Vec<T>,
+    jobs: Vec<PackedJob<T>>,
+    obs: Option<UnitObs>,
+}
+
+/// A flush unit, tagged by precision for the worker channel.
+pub enum FlushUnit {
+    F64(LaneUnit<f64>),
+    F32(LaneUnit<f32>),
 }
 
 /// The observability handles one flush unit carries to its worker: the
@@ -262,14 +300,15 @@ pub struct ServeHandle {
     queue_elements: usize,
 }
 
-/// A pending result: block on [`JobTicket::wait`] or `.await` it from
-/// any executor (the oneshot receiver stores the task's waker).
-pub struct JobTicket {
-    rx: oneshot::Receiver<Vec<f64>>,
+/// A pending result in precision `T` (`JobTicket` is the f64 ticket):
+/// block on [`JobTicket::wait`] or `.await` it from any executor (the
+/// oneshot receiver stores the task's waker).
+pub struct JobTicket<T: Element = f64> {
+    rx: oneshot::Receiver<Vec<T>>,
     span: Option<Arc<SpanCell>>,
 }
 
-impl JobTicket {
+impl<T: Element> JobTicket<T> {
     /// Blocks until the job's results arrive.
     ///
     /// # Errors
@@ -277,7 +316,7 @@ impl JobTicket {
     /// Returns [`ServeError::Disconnected`] if the server dropped the
     /// job's result channel without completing it (only possible if an
     /// evaluation worker panicked).
-    pub fn wait(self) -> Result<Vec<f64>, ServeError> {
+    pub fn wait(self) -> Result<Vec<T>, ServeError> {
         self.rx.recv().map_err(|_| ServeError::Disconnected)
     }
 
@@ -288,42 +327,8 @@ impl JobTicket {
     }
 }
 
-impl std::future::Future for JobTicket {
-    type Output = Result<Vec<f64>, ServeError>;
-
-    fn poll(self: std::pin::Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        std::pin::Pin::new(&mut self.get_mut().rx)
-            .poll(cx)
-            .map(|r| r.map_err(|_| ServeError::Disconnected))
-    }
-}
-
-/// The single-precision [`JobTicket`]: a pending f32 result from
-/// [`ServeHandle::submit_f32`]. Same dual wait/`.await` interface.
-pub struct JobTicketF32 {
-    rx: oneshot::Receiver<Vec<f32>>,
-    span: Option<Arc<SpanCell>>,
-}
-
-impl JobTicketF32 {
-    /// Blocks until the job's f32 results arrive.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Disconnected`], as for [`JobTicket::wait`].
-    pub fn wait(self) -> Result<Vec<f32>, ServeError> {
-        self.rx.recv().map_err(|_| ServeError::Disconnected)
-    }
-
-    /// The job's trace cell, when the server traced it — see
-    /// [`JobTicket::span`].
-    pub fn span(&self) -> Option<&Arc<SpanCell>> {
-        self.span.as_ref()
-    }
-}
-
-impl std::future::Future for JobTicketF32 {
-    type Output = Result<Vec<f32>, ServeError>;
+impl<T: Element> std::future::Future for JobTicket<T> {
+    type Output = Result<Vec<T>, ServeError>;
 
     fn poll(self: std::pin::Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         std::pin::Pin::new(&mut self.get_mut().rx)
@@ -510,13 +515,42 @@ impl ServeHandle {
     /// on. Zero-length tensors are legal and complete with an empty
     /// result.
     ///
+    /// The precision follows `data`. An f32 tensor is batched into an
+    /// f32 flush buffer, evaluated through the backend's f32 program
+    /// (eight-wide f32 kernels on the native backend), and scattered
+    /// back as f32 — bit-identical to evaluating the tensor directly
+    /// with the registry's [`FunctionRegistry::engine_f32`]. f32 and f64
+    /// jobs of one function share its flush policy and pending-element
+    /// accounting but always flush in separate units — a unit never
+    /// mixes precisions.
+    ///
     /// # Errors
     ///
     /// [`ServeError::UnknownFunction`] if `func` was never registered,
-    /// [`ServeError::ShuttingDown`] if the server stopped admitting jobs
-    /// (including while blocked waiting for space).
-    pub fn submit(&self, func: FunctionId, data: Vec<f64>) -> Result<JobTicket, ServeError> {
+    /// [`ServeError::PrecisionUnsupported`] if the function's backend has
+    /// no lane in `T`'s precision (f32 on a backend without an f32
+    /// lane), [`ServeError::ShuttingDown`] if the server stopped
+    /// admitting jobs (including while blocked waiting for space).
+    pub fn submit<T: ServeElement>(
+        &self,
+        func: FunctionId,
+        data: Vec<T>,
+    ) -> Result<JobTicket<T>, ServeError> {
         self.submit_inner(func, data, true, None)
+    }
+
+    /// [`Self::submit`] for an f32 tensor, under the name the frozen
+    /// benchmark calls.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::submit`].
+    pub fn submit_f32(
+        &self,
+        func: FunctionId,
+        data: Vec<f32>,
+    ) -> Result<JobTicket<f32>, ServeError> {
+        self.submit(func, data)
     }
 
     /// Non-blocking [`Self::submit`]: a full queue returns
@@ -525,7 +559,11 @@ impl ServeHandle {
     /// # Errors
     ///
     /// As [`Self::submit`], plus [`ServeError::QueueFull`].
-    pub fn try_submit(&self, func: FunctionId, data: Vec<f64>) -> Result<JobTicket, ServeError> {
+    pub fn try_submit<T: ServeElement>(
+        &self,
+        func: FunctionId,
+        data: Vec<T>,
+    ) -> Result<JobTicket<T>, ServeError> {
         self.submit_inner(func, data, false, None)
     }
 
@@ -540,59 +578,13 @@ impl ServeHandle {
     /// # Errors
     ///
     /// As [`Self::try_submit`].
-    pub fn try_submit_traced(
+    pub fn try_submit_traced<T: ServeElement>(
         &self,
         func: FunctionId,
-        data: Vec<f64>,
+        data: Vec<T>,
         trace: Option<u64>,
-    ) -> Result<JobTicket, ServeError> {
+    ) -> Result<JobTicket<T>, ServeError> {
         self.submit_inner(func, data, false, trace)
-    }
-
-    /// Submits a **single-precision** job: the tensor is batched into an
-    /// f32 flush buffer, evaluated through the backend's f32 program
-    /// (eight-wide f32 kernels on the native backend), and scattered
-    /// back as f32 — bit-identical to evaluating the tensor directly
-    /// with the registry's [`FunctionRegistry::engine_f32`]. f32 and f64
-    /// jobs of one function share its flush policy and pending-element
-    /// accounting but always flush in separate units — a unit never
-    /// mixes precisions. Blocks for queue space like [`Self::submit`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::submit`], plus [`ServeError::PrecisionUnsupported`]
-    /// if the function's backend has no f32 lane.
-    pub fn submit_f32(&self, func: FunctionId, data: Vec<f32>) -> Result<JobTicketF32, ServeError> {
-        self.submit_f32_inner(func, data, true, None)
-    }
-
-    /// Non-blocking [`Self::submit_f32`]: a full queue returns
-    /// [`ServeError::QueueFull`] instead of waiting.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::submit_f32`], plus [`ServeError::QueueFull`].
-    pub fn try_submit_f32(
-        &self,
-        func: FunctionId,
-        data: Vec<f32>,
-    ) -> Result<JobTicketF32, ServeError> {
-        self.submit_f32_inner(func, data, false, None)
-    }
-
-    /// Non-blocking f32 submit carrying a propagated distributed-trace
-    /// id; see [`Self::try_submit_traced`] for the adoption contract.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::try_submit_f32`].
-    pub fn try_submit_f32_traced(
-        &self,
-        func: FunctionId,
-        data: Vec<f32>,
-        trace: Option<u64>,
-    ) -> Result<JobTicketF32, ServeError> {
-        self.submit_f32_inner(func, data, false, trace)
     }
 
     /// The registry this handle's server evaluates through.
@@ -619,52 +611,25 @@ impl ServeHandle {
         self.shared.queue.lock().unwrap().shutdown
     }
 
-    fn submit_inner(
+    /// The admission path, one body for both precisions: bounds,
+    /// backpressure and pending-aggregate bookkeeping are element-based,
+    /// so both precisions share one queue and one set of flush triggers.
+    fn submit_inner<T: ServeElement>(
         &self,
         func: FunctionId,
-        data: Vec<f64>,
+        data: Vec<T>,
         block: bool,
         trace: Option<u64>,
-    ) -> Result<JobTicket, ServeError> {
-        if !self.registry.contains(func) {
-            return Err(ServeError::UnknownFunction(func));
-        }
-        let (tx, rx) = oneshot::channel();
-        let span = self.enqueue(func, JobData::F64 { data, tx }, block, trace)?;
-        Ok(JobTicket { rx, span })
-    }
-
-    fn submit_f32_inner(
-        &self,
-        func: FunctionId,
-        data: Vec<f32>,
-        block: bool,
-        trace: Option<u64>,
-    ) -> Result<JobTicketF32, ServeError> {
+    ) -> Result<JobTicket<T>, ServeError> {
         // The precision check runs at admission, not at flush: a job the
         // backend can never evaluate must bounce here, where the caller
         // can still handle it, not surface later as `Disconnected`.
-        match self.registry.supports_f32(func) {
+        match self.registry.supports::<T>(func) {
             None => return Err(ServeError::UnknownFunction(func)),
             Some(false) => return Err(ServeError::PrecisionUnsupported(func)),
             Some(true) => {}
         }
         let (tx, rx) = oneshot::channel();
-        let span = self.enqueue(func, JobData::F32 { data, tx }, block, trace)?;
-        Ok(JobTicketF32 { rx, span })
-    }
-
-    /// The precision-agnostic admission path: bounds, backpressure and
-    /// pending-aggregate bookkeeping are element-based, so both
-    /// precisions share one queue and one set of flush triggers. Returns
-    /// the job's trace cell when the server sampled it.
-    fn enqueue(
-        &self,
-        func: FunctionId,
-        data: JobData,
-        block: bool,
-        trace: Option<u64>,
-    ) -> Result<Option<Arc<SpanCell>>, ServeError> {
         // One clock read up front (observability on only): the Submit
         // stamp must predate any time spent parked on the element bound.
         let submit_ns = self.shared.obs.as_ref().map(|o| o.now_ns());
@@ -741,15 +706,16 @@ impl ServeHandle {
             }
             None => (0, None),
         };
-        q.jobs.push(Job {
+        q.jobs.push(T::queued(LaneJob {
             func,
             data,
+            tx,
             enqueued_ns,
             span: span.clone(),
-        });
+        }));
         drop(q);
         self.shared.job_ready.notify_one();
-        Ok(span)
+        Ok(JobTicket { rx, span })
     }
 }
 
@@ -825,7 +791,7 @@ fn batcher_loop(
             let mut drained = Vec::new();
             let mut kept = Vec::with_capacity(q.jobs.len());
             for job in q.jobs.drain(..) {
-                if due.contains(&job.func) {
+                if due.contains(&job.func()) {
                     drained.push(job);
                 } else {
                     kept.push(job);
@@ -885,131 +851,82 @@ fn dispatch_flush(
     unit_tx: &mpsc::Sender<FlushUnit>,
     obs: Option<&Arc<ObsState>>,
 ) {
-    /// A drained job awaiting one precision's flush plan: its function,
-    /// its payload, the oneshot completing it, its enqueue instant, and
-    /// its trace cell.
-    type PendingJob<T> = (
-        FunctionId,
-        Vec<T>,
-        oneshot::Sender<Vec<T>>,
-        u64,
-        Option<Arc<SpanCell>>,
-    );
-    let mut jobs64: Vec<PendingJob<f64>> = Vec::new();
-    let mut jobs32: Vec<PendingJob<f32>> = Vec::new();
+    let mut jobs64: Vec<LaneJob<f64>> = Vec::new();
+    let mut jobs32: Vec<LaneJob<f32>> = Vec::new();
     for job in drained {
-        match job.data {
-            JobData::F64 { data, tx } => {
-                jobs64.push((job.func, data, tx, job.enqueued_ns, job.span))
-            }
-            JobData::F32 { data, tx } => {
-                jobs32.push((job.func, data, tx, job.enqueued_ns, job.span))
-            }
+        match job {
+            Job::F64(j) => jobs64.push(j),
+            Job::F32(j) => jobs32.push(j),
         }
     }
     // One clock read covers the whole plan: every job in this drain was
     // planned at the same instant, and queue wait is measured to here.
     let plan_ns = obs.map(|o| o.now_ns()).unwrap_or_default();
+    // Workers gone (panicked) — nothing to do; senders drop and the
+    // submitters observe `Disconnected`.
+    if dispatch_lane(jobs64, registry, unit_tx, obs, plan_ns) {
+        dispatch_lane(jobs32, registry, unit_tx, obs, plan_ns);
+    }
+}
 
-    // f64 share of the flush.
-    let shapes: Vec<(FunctionId, usize)> = jobs64.iter().map(|(f, d, ..)| (*f, d.len())).collect();
+/// Plans and packs one precision's share of a drain into per-function
+/// units and sends them to the workers. Returns `false` once the
+/// workers are gone.
+fn dispatch_lane<T: ServeElement>(
+    jobs: Vec<LaneJob<T>>,
+    registry: &FunctionRegistry,
+    unit_tx: &mpsc::Sender<FlushUnit>,
+    obs: Option<&Arc<ObsState>>,
+    plan_ns: u64,
+) -> bool {
+    let shapes: Vec<(FunctionId, usize)> = jobs.iter().map(|j| (j.func, j.data.len())).collect();
     let plan = FlushPlan::build(&shapes);
-    let mut slots: Vec<Option<PendingJob<f64>>> = jobs64.into_iter().map(Some).collect();
+    let mut slots: Vec<Option<LaneJob<T>>> = jobs.into_iter().map(Some).collect();
     for group in plan.groups {
-        let Some((program, stats, histogram)) = registry.binding(group.func) else {
-            // Unreachable in practice — submit validates ids and the
-            // registry never unregisters. Dropping the senders fails the
-            // jobs with `Disconnected` rather than poisoning the server.
-            debug_assert!(false, "function {:?} vanished from registry", group.func);
+        let Some((program, stats, histogram)) = registry.binding::<T>(group.func) else {
+            // Unreachable in practice — submit validates ids and
+            // precision support, and the registry never unregisters.
+            // Dropping the senders fails the jobs with `Disconnected`
+            // rather than poisoning the server.
+            debug_assert!(false, "function {:?} lost its binding", group.func);
             continue;
         };
         let unit_obs = obs.map(|o| UnitObs {
             state: Arc::clone(o),
             func: o.func(group.func, registry),
         });
-        let mut xs = vec![0.0f64; group.total];
+        let mut xs = vec![T::default(); group.total];
         let mut jobs = Vec::with_capacity(group.spans.len());
         for span in &group.spans {
-            let (_, data, tx, enqueued_ns, cell) = slots[span.job].take().expect("span bijection");
-            xs[span.offset..span.offset + span.len].copy_from_slice(&data);
+            let job = slots[span.job].take().expect("span bijection");
+            xs[span.offset..span.offset + span.len].copy_from_slice(&job.data);
             if let Some(u) = &unit_obs {
                 u.func
                     .queue_wait_ns
-                    .record(plan_ns.saturating_sub(enqueued_ns));
-                if let Some(cell) = &cell {
+                    .record(plan_ns.saturating_sub(job.enqueued_ns));
+                if let Some(cell) = &job.span {
                     cell.record(Stage::FlushPlan, plan_ns);
                 }
             }
-            jobs.push((span.len, tx, cell));
+            jobs.push((span.len, job.tx, job.span));
         }
         if let Some(u) = &unit_obs {
             u.state.flush_units.inc();
             u.state.flush_elems.record(group.total as u64);
         }
-        // Workers gone (panicked) — nothing to do; senders drop and the
-        // submitters observe `Disconnected`.
-        if unit_tx
-            .send(FlushUnit::F64 {
-                program,
-                stats,
-                histogram,
-                xs,
-                jobs,
-                obs: unit_obs,
-            })
-            .is_err()
-        {
-            return;
-        }
-    }
-
-    // f32 share — its own plan over its own buffers; admission already
-    // guaranteed every one of these functions has an f32 program.
-    let shapes: Vec<(FunctionId, usize)> = jobs32.iter().map(|(f, d, ..)| (*f, d.len())).collect();
-    let plan = FlushPlan::build(&shapes);
-    let mut slots: Vec<Option<PendingJob<f32>>> = jobs32.into_iter().map(Some).collect();
-    for group in plan.groups {
-        let Some((program, stats, histogram)) = registry.binding_f32(group.func) else {
-            debug_assert!(false, "function {:?} lost its f32 binding", group.func);
-            continue;
+        let unit = LaneUnit {
+            program,
+            stats,
+            histogram,
+            xs,
+            jobs,
+            obs: unit_obs,
         };
-        let unit_obs = obs.map(|o| UnitObs {
-            state: Arc::clone(o),
-            func: o.func(group.func, registry),
-        });
-        let mut xs = vec![0.0f32; group.total];
-        let mut jobs = Vec::with_capacity(group.spans.len());
-        for span in &group.spans {
-            let (_, data, tx, enqueued_ns, cell) = slots[span.job].take().expect("span bijection");
-            xs[span.offset..span.offset + span.len].copy_from_slice(&data);
-            if let Some(u) = &unit_obs {
-                u.func
-                    .queue_wait_ns
-                    .record(plan_ns.saturating_sub(enqueued_ns));
-                if let Some(cell) = &cell {
-                    cell.record(Stage::FlushPlan, plan_ns);
-                }
-            }
-            jobs.push((span.len, tx, cell));
-        }
-        if let Some(u) = &unit_obs {
-            u.state.flush_units.inc();
-            u.state.flush_elems.record(group.total as u64);
-        }
-        if unit_tx
-            .send(FlushUnit::F32 {
-                program,
-                stats,
-                histogram,
-                xs,
-                jobs,
-                obs: unit_obs,
-            })
-            .is_err()
-        {
-            return;
+        if unit_tx.send(T::unit(unit)).is_err() {
+            return false;
         }
     }
+    true
 }
 
 /// Post-eval bookkeeping of one instrumented flush unit: evaluation
@@ -1026,10 +943,8 @@ fn record_flush_obs(u: &UnitObs, eval_start_ns: u64, stats: &flexsfu_backend::Fl
     }
 }
 
-/// An evaluation worker: scatter-evaluates each unit's packed buffer
-/// through its backend program (in the unit's precision) straight into
-/// per-job result buffers, records the flush cost, and completes the
-/// oneshots.
+/// An evaluation worker: runs each unit it dequeues (see
+/// [`eval_unit`]) until the batcher hangs up.
 fn worker_loop(rx: &Mutex<mpsc::Receiver<FlushUnit>>, faults: Option<&Faults>) {
     loop {
         // Hold the channel lock only for the dequeue, not the evaluation.
@@ -1043,92 +958,59 @@ fn worker_loop(rx: &Mutex<mpsc::Receiver<FlushUnit>>, faults: Option<&Faults>) {
             std::thread::sleep(delay);
         }
         match unit {
-            FlushUnit::F64 {
-                program,
-                stats,
-                histogram,
-                xs,
-                jobs,
-                obs,
-            } => {
-                // Record inputs before completing any ticket: once every
-                // ticket of a quiesced batch has resolved, the histogram
-                // already reflects all of its elements — the ordering
-                // drift-window determinism relies on.
-                histogram.record_f64(&xs);
-                let eval_start = obs.as_ref().map(|u| {
-                    let t = u.state.now_ns();
-                    for (_, _, cell) in &jobs {
-                        if let Some(cell) = cell {
-                            cell.record(Stage::BackendEval, t);
-                        }
-                    }
-                    t
-                });
-                let mut outs: Vec<Vec<f64>> = jobs.iter().map(|(n, ..)| vec![0.0; *n]).collect();
-                let flush_stats = {
-                    let mut views: Vec<&mut [f64]> =
-                        outs.iter_mut().map(|o| o.as_mut_slice()).collect();
-                    program.eval_scatter_into(&xs, &mut views)
-                };
-                stats.record(&flush_stats);
-                if let (Some(u), Some(t0)) = (&obs, eval_start) {
-                    record_flush_obs(u, t0, &flush_stats);
-                }
-                for ((_, tx, cell), out) in jobs.into_iter().zip(outs) {
-                    // Injected reply loss (testkit): drop the channel so
-                    // the ticket observes `Disconnected`.
-                    if faults.is_some_and(Faults::take_drop_reply) {
-                        continue;
-                    }
-                    // Stamp before completing the ticket: a replay
-                    // driver that advances a manual clock once all
-                    // tickets resolved must never race a late stamp.
-                    if let (Some(u), Some(cell)) = (&obs, &cell) {
-                        cell.record(Stage::ScatterBack, u.state.now_ns());
-                    }
-                    // A dropped ticket is fine — the caller stopped caring.
-                    tx.send(out);
-                }
-            }
-            FlushUnit::F32 {
-                program,
-                stats,
-                histogram,
-                xs,
-                jobs,
-                obs,
-            } => {
-                histogram.record_f32(&xs);
-                let eval_start = obs.as_ref().map(|u| {
-                    let t = u.state.now_ns();
-                    for (_, _, cell) in &jobs {
-                        if let Some(cell) = cell {
-                            cell.record(Stage::BackendEval, t);
-                        }
-                    }
-                    t
-                });
-                let mut outs: Vec<Vec<f32>> = jobs.iter().map(|(n, ..)| vec![0.0; *n]).collect();
-                let flush_stats = {
-                    let mut views: Vec<&mut [f32]> =
-                        outs.iter_mut().map(|o| o.as_mut_slice()).collect();
-                    program.eval_scatter_into(&xs, &mut views)
-                };
-                stats.record(&flush_stats);
-                if let (Some(u), Some(t0)) = (&obs, eval_start) {
-                    record_flush_obs(u, t0, &flush_stats);
-                }
-                for ((_, tx, cell), out) in jobs.into_iter().zip(outs) {
-                    if faults.is_some_and(Faults::take_drop_reply) {
-                        continue;
-                    }
-                    if let (Some(u), Some(cell)) = (&obs, &cell) {
-                        cell.record(Stage::ScatterBack, u.state.now_ns());
-                    }
-                    tx.send(out);
-                }
+            FlushUnit::F64(u) => eval_unit(u, faults),
+            FlushUnit::F32(u) => eval_unit(u, faults),
+        }
+    }
+}
+
+/// Scatter-evaluates one unit's packed buffer through its backend
+/// program (in the unit's precision) straight into per-job result
+/// buffers, records the flush cost, and completes the oneshots.
+fn eval_unit<T: Element>(unit: LaneUnit<T>, faults: Option<&Faults>) {
+    let LaneUnit {
+        program,
+        stats,
+        histogram,
+        xs,
+        jobs,
+        obs,
+    } = unit;
+    // Record inputs before completing any ticket: once every ticket of
+    // a quiesced batch has resolved, the histogram already reflects all
+    // of its elements — the ordering drift-window determinism relies on.
+    histogram.record(&xs);
+    let eval_start = obs.as_ref().map(|u| {
+        let t = u.state.now_ns();
+        for (_, _, cell) in &jobs {
+            if let Some(cell) = cell {
+                cell.record(Stage::BackendEval, t);
             }
         }
+        t
+    });
+    let mut outs: Vec<Vec<T>> = jobs.iter().map(|(n, ..)| vec![T::default(); *n]).collect();
+    let flush_stats = {
+        let mut views: Vec<&mut [T]> = outs.iter_mut().map(|o| o.as_mut_slice()).collect();
+        program.eval_scatter_into(&xs, &mut views)
+    };
+    stats.record(&flush_stats);
+    if let (Some(u), Some(t0)) = (&obs, eval_start) {
+        record_flush_obs(u, t0, &flush_stats);
+    }
+    for ((_, tx, cell), out) in jobs.into_iter().zip(outs) {
+        // Injected reply loss (testkit): drop the channel so the ticket
+        // observes `Disconnected`.
+        if faults.is_some_and(Faults::take_drop_reply) {
+            continue;
+        }
+        // Stamp before completing the ticket: a replay driver that
+        // advances a manual clock once all tickets resolved must never
+        // race a late stamp.
+        if let (Some(u), Some(cell)) = (&obs, &cell) {
+            cell.record(Stage::ScatterBack, u.state.now_ns());
+        }
+        // A dropped ticket is fine — the caller stopped caring.
+        tx.send(out);
     }
 }

@@ -225,7 +225,7 @@ fn backend_without_f32_lane_rejects_at_admission() {
             Some(ServeError::PrecisionUnsupported(id))
         );
         assert_eq!(
-            handle.try_submit_f32(id, vec![0.5f32]).err(),
+            handle.try_submit(id, vec![0.5f32]).err(),
             Some(ServeError::PrecisionUnsupported(id))
         );
         // An unknown id still reports UnknownFunction, not precision.

@@ -22,7 +22,7 @@ use flexsfu_obs::{
     SampleRate, SpanRecorder, Stage, TraceAssembler,
 };
 use flexsfu_serve::{FunctionId, FunctionRegistry, PwlServer, ServeConfig, ServeObs};
-use flexsfu_wire::{WireClient, WireConfig, WireError, WireServer};
+use flexsfu_wire::{WireClient, WireConfig, WireElement, WireError, WireServer, WireTicket};
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
@@ -468,12 +468,7 @@ impl ShardRouter {
     ///
     /// See [`RouterError`].
     pub fn eval_f64(&self, func: FunctionId, data: &[f64]) -> Result<Vec<f64>, RouterError> {
-        self.eval_with(func, |shard, trace| {
-            shard
-                .client
-                .submit_f64_traced(func.0, data.to_vec(), trace)
-                .and_then(flexsfu_wire::WireTicket::wait)
-        })
+        self.eval(func, data)
     }
 
     /// Evaluates an f32 tensor through the deployment's f32 lane.
@@ -484,11 +479,17 @@ impl ShardRouter {
     /// yields `Rejected(PrecisionUnsupported)` (identical registration
     /// means every shard would answer the same).
     pub fn eval_f32(&self, func: FunctionId, data: &[f32]) -> Result<Vec<f32>, RouterError> {
+        self.eval(func, data)
+    }
+
+    /// [`Self::eval_f64`] / [`Self::eval_f32`] in one body: the tensor
+    /// travels in its own precision.
+    fn eval<T: WireElement>(&self, func: FunctionId, data: &[T]) -> Result<Vec<T>, RouterError> {
         self.eval_with(func, |shard, trace| {
             shard
                 .client
-                .submit_f32_traced(func.0, data.to_vec(), trace)
-                .and_then(flexsfu_wire::WireTicketF32::wait)
+                .submit_traced(func.0, data.to_vec(), trace)
+                .and_then(WireTicket::wait)
         })
     }
 

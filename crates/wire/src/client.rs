@@ -1,8 +1,9 @@
 //! The multiplexing wire client: one TCP connection, many in-flight
 //! requests, responses matched back by request id.
 //!
-//! [`WireClient::submit_f64`]/[`WireClient::submit_f32`] return
-//! immediately with a [`WireTicket`]/[`WireTicketF32`]; a background
+//! [`WireClient::submit_traced`] (and its untraced shorthands
+//! [`WireClient::submit_f64`]/[`WireClient::submit_f32`]) returns
+//! immediately with a [`WireTicket`] in the tensor's precision; a background
 //! reader thread completes tickets as `Ack`/`Result`/`Error` frames
 //! arrive — in whatever order the server finishes them. The ack is
 //! tracked separately from the result ([`WireTicket::was_acked`]): a
@@ -12,23 +13,95 @@
 
 use crate::error::WireError;
 use crate::frame::{Frame, FrameReader};
+use crate::server::Ticket;
 use flexsfu_obs::MetricsSnapshot;
-use flexsfu_serve::oneshot;
+use flexsfu_serve::{oneshot, JobTicket, ServeElement};
 use std::collections::HashMap;
 use std::io::{Read, Write};
+use std::marker::PhantomData;
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// A completed job's payload, either lane.
-enum Payload {
-    F64(Vec<f64>),
-    F32(Vec<f32>),
+/// A precision the wire carries: `f64` or `f32` (sealed, like
+/// [`ServeElement`]). The hooks pick the frame kind and the
+/// pump's ticket variant; submission, completion and polling are
+/// written once over `T`.
+pub trait WireElement: ServeElement {
+    /// The submit frame carrying `data`.
+    #[doc(hidden)]
+    fn submit_frame(req: u64, func: u32, data: Vec<Self>, trace: Option<u64>) -> Frame;
+
+    /// The result frame carrying `data`.
+    #[doc(hidden)]
+    fn result_frame(req: u64, data: Vec<Self>) -> Frame;
+
+    /// The result frame's tensor, or `None` when it is the other
+    /// precision.
+    #[doc(hidden)]
+    fn from_result(frame: Frame) -> Option<Vec<Self>>;
+
+    /// Tags a serving ticket for the server's completion pump.
+    #[doc(hidden)]
+    fn parked(ticket: JobTicket<Self>) -> Ticket;
 }
 
-type JobResult = Result<Payload, WireError>;
+impl WireElement for f64 {
+    fn submit_frame(req: u64, func: u32, data: Vec<f64>, trace: Option<u64>) -> Frame {
+        Frame::SubmitF64 {
+            req,
+            func,
+            data,
+            trace,
+        }
+    }
+
+    fn result_frame(req: u64, data: Vec<f64>) -> Frame {
+        Frame::ResultF64 { req, data }
+    }
+
+    fn from_result(frame: Frame) -> Option<Vec<f64>> {
+        match frame {
+            Frame::ResultF64 { data, .. } => Some(data),
+            _ => None,
+        }
+    }
+
+    fn parked(ticket: JobTicket) -> Ticket {
+        Ticket::F64(ticket)
+    }
+}
+
+impl WireElement for f32 {
+    fn submit_frame(req: u64, func: u32, data: Vec<f32>, trace: Option<u64>) -> Frame {
+        Frame::SubmitF32 {
+            req,
+            func,
+            data,
+            trace,
+        }
+    }
+
+    fn result_frame(req: u64, data: Vec<f32>) -> Frame {
+        Frame::ResultF32 { req, data }
+    }
+
+    fn from_result(frame: Frame) -> Option<Vec<f32>> {
+        match frame {
+            Frame::ResultF32 { data, .. } => Some(data),
+            _ => None,
+        }
+    }
+
+    fn parked(ticket: JobTicket<f32>) -> Ticket {
+        Ticket::F32(ticket)
+    }
+}
+
+/// A completed job's `ResultF64` or `ResultF32` frame.
+type JobResult = Result<Frame, WireError>;
 
 /// One unanswered request in the client's mux table.
 struct PendingEntry {
@@ -140,14 +213,22 @@ impl WireClient {
     ///
     /// # Errors
     ///
-    /// [`WireError::ConnectionClosed`] or [`WireError::Io`] if the
-    /// frame cannot be written; server-side rejections (unknown
-    /// function, `RetryAfter`, draining…) surface on the *ticket*.
+    /// As [`Self::submit_traced`].
     pub fn submit_f64(&self, func: u32, data: Vec<f64>) -> Result<WireTicket, WireError> {
-        self.submit_f64_traced(func, data, None)
+        self.submit_traced(func, data, None)
     }
 
-    /// Submits an f64 tensor carrying an optional distributed trace id.
+    /// Submits an f32 tensor for `func` and returns its ticket.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::submit_traced`].
+    pub fn submit_f32(&self, func: u32, data: Vec<f32>) -> Result<WireTicket<f32>, WireError> {
+        self.submit_traced(func, data, None)
+    }
+
+    /// Submits a tensor in its own precision, carrying an optional
+    /// distributed trace id.
     ///
     /// With `trace == None` the emitted frame is byte-identical to the
     /// legacy (v1) submit, so untraced traffic interoperates with old
@@ -158,58 +239,22 @@ impl WireClient {
     ///
     /// # Errors
     ///
-    /// As [`Self::submit_f64`].
-    pub fn submit_f64_traced(
+    /// [`WireError::ConnectionClosed`] or [`WireError::Io`] if the
+    /// frame cannot be written; server-side rejections (unknown
+    /// function, `RetryAfter`, draining…) surface on the *ticket*.
+    pub fn submit_traced<T: WireElement>(
         &self,
         func: u32,
-        data: Vec<f64>,
+        data: Vec<T>,
         trace: Option<u64>,
-    ) -> Result<WireTicket, WireError> {
+    ) -> Result<WireTicket<T>, WireError> {
         let (req, rx, acked) = self.register()?;
-        self.send(
-            &Frame::SubmitF64 {
-                req,
-                func,
-                data,
-                trace,
-            },
-            req,
-        )?;
-        Ok(WireTicket { rx, acked })
-    }
-
-    /// Submits an f32 tensor for `func` and returns its ticket.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::submit_f64`].
-    pub fn submit_f32(&self, func: u32, data: Vec<f32>) -> Result<WireTicketF32, WireError> {
-        self.submit_f32_traced(func, data, None)
-    }
-
-    /// Submits an f32 tensor carrying an optional distributed trace id;
-    /// see [`Self::submit_f64_traced`] for the interop contract.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::submit_f64`].
-    pub fn submit_f32_traced(
-        &self,
-        func: u32,
-        data: Vec<f32>,
-        trace: Option<u64>,
-    ) -> Result<WireTicketF32, WireError> {
-        let (req, rx, acked) = self.register()?;
-        self.send(
-            &Frame::SubmitF32 {
-                req,
-                func,
-                data,
-                trace,
-            },
-            req,
-        )?;
-        Ok(WireTicketF32 { rx, acked })
+        self.send(&T::submit_frame(req, func, data, trace), req)?;
+        Ok(WireTicket {
+            rx,
+            acked,
+            lane: PhantomData,
+        })
     }
 
     /// Health-checks the server: sends a ping and waits up to `timeout`
@@ -368,8 +413,9 @@ fn dispatch(frame: Frame, shared: &ClientShared) {
                 e.acked.store(true, Ordering::SeqCst);
             }
         }
-        Frame::ResultF64 { req, data } => complete(shared, req, Ok(Payload::F64(data))),
-        Frame::ResultF32 { req, data } => complete(shared, req, Ok(Payload::F32(data))),
+        Frame::ResultF64 { req, .. } | Frame::ResultF32 { req, .. } => {
+            complete(shared, req, Ok(frame));
+        }
         Frame::Error { req, code, detail } => {
             let err = WireError::from_code(code, detail);
             if req == 0 {
@@ -437,21 +483,20 @@ impl AckProbe {
     }
 }
 
-/// An in-flight f64 request. Wait (bounded or not) for the result;
-/// [`Self::was_acked`] reports whether the server accepted the job —
-/// the resubmission-safety predicate.
-pub struct WireTicket {
+/// An in-flight request in precision `T` (`WireTicket` is the f64
+/// ticket). Wait (bounded or not) for the result; [`Self::was_acked`]
+/// reports whether the server accepted the job — the
+/// resubmission-safety predicate.
+pub struct WireTicket<T: WireElement = f64> {
     rx: oneshot::Receiver<JobResult>,
     acked: Arc<AtomicBool>,
+    lane: PhantomData<T>,
 }
 
-/// An in-flight f32 request; see [`WireTicket`].
-pub struct WireTicketF32 {
-    rx: oneshot::Receiver<JobResult>,
-    acked: Arc<AtomicBool>,
-}
+/// An in-flight f32 request, under the name the frozen benchmark uses.
+pub type WireTicketF32 = WireTicket<f32>;
 
-impl WireTicket {
+impl<T: WireElement> WireTicket<T> {
     /// Whether the server's ack for this job has arrived.
     pub fn was_acked(&self) -> bool {
         self.acked.load(Ordering::SeqCst)
@@ -466,13 +511,12 @@ impl WireTicket {
     ///
     /// # Errors
     ///
-    /// The server-reported rejection, or
+    /// The server-reported rejection, [`WireError::UnexpectedPayload`]
+    /// if the result came back in the other precision, or
     /// [`WireError::ConnectionClosed`] if the connection died first.
-    pub fn wait(self) -> Result<Vec<f64>, WireError> {
+    pub fn wait(self) -> Result<Vec<T>, WireError> {
         match self.rx.recv() {
-            Ok(Ok(Payload::F64(data))) => Ok(data),
-            Ok(Ok(Payload::F32(_))) => Err(WireError::UnexpectedPayload),
-            Ok(Err(e)) => Err(e),
+            Ok(result) => Self::unpack(result),
             Err(oneshot::RecvError) => Err(WireError::ConnectionClosed),
         }
     }
@@ -483,54 +527,15 @@ impl WireTicket {
     /// # Errors
     ///
     /// As [`Self::wait`], plus [`WireError::Timeout`].
-    pub fn wait_timeout(self, timeout: Duration) -> Result<Vec<f64>, WireError> {
+    pub fn wait_timeout(self, timeout: Duration) -> Result<Vec<T>, WireError> {
         match self.rx.recv_timeout(timeout) {
-            Ok(Ok(Payload::F64(data))) => Ok(data),
-            Ok(Ok(Payload::F32(_))) => Err(WireError::UnexpectedPayload),
-            Ok(Err(e)) => Err(e),
+            Ok(result) => Self::unpack(result),
             Err(oneshot::RecvTimeoutError::Timeout) => Err(WireError::Timeout),
             Err(oneshot::RecvTimeoutError::Disconnected) => Err(WireError::ConnectionClosed),
         }
     }
-}
 
-impl WireTicketF32 {
-    /// Whether the server's ack for this job has arrived.
-    pub fn was_acked(&self) -> bool {
-        self.acked.load(Ordering::SeqCst)
-    }
-
-    /// A probe of this request's ack state that outlives the ticket.
-    pub fn ack_probe(&self) -> AckProbe {
-        AckProbe(Arc::clone(&self.acked))
-    }
-
-    /// Blocks until the result (or a typed error) arrives.
-    ///
-    /// # Errors
-    ///
-    /// As [`WireTicket::wait`].
-    pub fn wait(self) -> Result<Vec<f32>, WireError> {
-        match self.rx.recv() {
-            Ok(Ok(Payload::F32(data))) => Ok(data),
-            Ok(Ok(Payload::F64(_))) => Err(WireError::UnexpectedPayload),
-            Ok(Err(e)) => Err(e),
-            Err(oneshot::RecvError) => Err(WireError::ConnectionClosed),
-        }
-    }
-
-    /// Blocks up to `timeout`; consumes the ticket either way.
-    ///
-    /// # Errors
-    ///
-    /// As [`WireTicket::wait_timeout`].
-    pub fn wait_timeout(self, timeout: Duration) -> Result<Vec<f32>, WireError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(Ok(Payload::F32(data))) => Ok(data),
-            Ok(Ok(Payload::F64(_))) => Err(WireError::UnexpectedPayload),
-            Ok(Err(e)) => Err(e),
-            Err(oneshot::RecvTimeoutError::Timeout) => Err(WireError::Timeout),
-            Err(oneshot::RecvTimeoutError::Disconnected) => Err(WireError::ConnectionClosed),
-        }
+    fn unpack(result: JobResult) -> Result<Vec<T>, WireError> {
+        T::from_result(result?).ok_or(WireError::UnexpectedPayload)
     }
 }

@@ -84,7 +84,7 @@ pub mod obs;
 mod server;
 pub mod telemetry;
 
-pub use client::{AckProbe, Health, WireClient, WireTicket, WireTicketF32};
+pub use client::{AckProbe, Health, WireClient, WireElement, WireTicket, WireTicketF32};
 pub use error::WireError;
 pub use frame::{Frame, FrameError, FrameReader, MAX_PAYLOAD};
 pub use server::{WireConfig, WireServer};

@@ -27,10 +27,11 @@
 //! precedes the job's own result on the wire (writes are serialized per
 //! connection), but carries no ordering relative to *other* requests.
 
+use crate::client::WireElement;
 use crate::frame::{ErrorCode, Frame, FrameReader};
 use crate::obs::WireObsState;
 use flexsfu_obs::{SpanCell, Stage};
-use flexsfu_serve::{FunctionId, JobTicket, JobTicketF32, ServeError, ServeHandle, ServeObs};
+use flexsfu_serve::{FunctionId, JobTicket, ServeError, ServeHandle, ServeObs};
 use std::future::Future;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -317,9 +318,19 @@ struct PendingJob {
 }
 
 /// The parked ticket, either precision lane.
-enum Ticket {
+pub enum Ticket {
     F64(JobTicket),
-    F32(JobTicketF32),
+    F32(JobTicket<f32>),
+}
+
+impl Ticket {
+    /// Polls the ticket in its own precision; see [`poll_job`].
+    fn poll(&mut self, req: u64, cx: &mut Context<'_>) -> Poll<(Frame, Option<Arc<SpanCell>>)> {
+        match self {
+            Ticket::F64(ticket) => poll_job(req, ticket, cx),
+            Ticket::F32(ticket) => poll_job(req, ticket, cx),
+        }
+    }
 }
 
 /// The pump's shared state: tickets parked for completion, plus the
@@ -503,37 +514,13 @@ fn handle_frame(
             func,
             data,
             trace,
-        } => {
-            if refuse_if_draining(req, shared, writer) {
-                return true;
-            }
-            // The decoded trace tail rides into the serving tier so the
-            // shard-side recorder adopts the router-minted id.
-            match shared
-                .handle
-                .try_submit_traced(FunctionId(func), data, trace)
-            {
-                Ok(ticket) => accept(req, Ticket::F64(ticket), shared, writer, pump),
-                Err(e) => writer.send(&submit_error(req, &e, shared)).is_ok(),
-            }
-        }
+        } => submit(req, func, data, trace, shared, writer, pump),
         Frame::SubmitF32 {
             req,
             func,
             data,
             trace,
-        } => {
-            if refuse_if_draining(req, shared, writer) {
-                return true;
-            }
-            match shared
-                .handle
-                .try_submit_f32_traced(FunctionId(func), data, trace)
-            {
-                Ok(ticket) => accept(req, Ticket::F32(ticket), shared, writer, pump),
-                Err(e) => writer.send(&submit_error(req, &e, shared)).is_ok(),
-            }
-        }
+        } => submit(req, func, data, trace, shared, writer, pump),
         Frame::Ping { nonce } => {
             let depth = shared.handle.queue_depth();
             // The telemetry tail reads the serving tier's own series —
@@ -586,6 +573,31 @@ fn handle_frame(
             });
             false
         }
+    }
+}
+
+/// Admits one submit frame's job into the serving tier, in the frame's
+/// precision; `false` closes the connection.
+fn submit<T: WireElement>(
+    req: u64,
+    func: u32,
+    data: Vec<T>,
+    trace: Option<u64>,
+    shared: &Arc<ServerShared>,
+    writer: &ConnWriter,
+    pump: &Arc<Pump>,
+) -> bool {
+    if refuse_if_draining(req, shared, writer) {
+        return true;
+    }
+    // The decoded trace tail rides into the serving tier so the
+    // shard-side recorder adopts the router-minted id.
+    match shared
+        .handle
+        .try_submit_traced(FunctionId(func), data, trace)
+    {
+        Ok(ticket) => accept(req, T::parked(ticket), shared, writer, pump),
+        Err(e) => writer.send(&submit_error(req, &e, shared)).is_ok(),
     }
 }
 
@@ -670,17 +682,17 @@ fn pump_loop(pump: &Arc<Pump>, writer: &ConnWriter, shared: &ServerShared) {
         };
 
         let mut still_pending = Vec::with_capacity(batch.len());
-        for job in batch.drain(..) {
-            match poll_job(job, &mut cx) {
-                Ok((frame, t_ack, span)) => {
+        for mut job in batch.drain(..) {
+            match job.ticket.poll(job.req, &mut cx) {
+                Poll::Ready((frame, span)) => {
                     // A dead socket is fine — the peer stopped caring;
                     // the job itself completed and is no longer
                     // in flight either way.
                     let _ = writer.send(&frame);
                     if let Some(o) = &shared.obs {
                         let now = o.now_ns();
-                        if t_ack != 0 {
-                            o.ack_to_result_ns.record(now.saturating_sub(t_ack));
+                        if job.t_ack != 0 {
+                            o.ack_to_result_ns.record(now.saturating_sub(job.t_ack));
                         }
                         if let Some(cell) = &span {
                             cell.record(Stage::WireWrite, now);
@@ -688,7 +700,7 @@ fn pump_loop(pump: &Arc<Pump>, writer: &ConnWriter, shared: &ServerShared) {
                     }
                     shared.inflight.fetch_sub(1, Ordering::SeqCst);
                 }
-                Err(job) => still_pending.push(job),
+                Poll::Pending => still_pending.push(job),
             }
         }
 
@@ -699,59 +711,23 @@ fn pump_loop(pump: &Arc<Pump>, writer: &ConnWriter, shared: &ServerShared) {
     }
 }
 
-/// Polls one parked job: `Ok((reply frame, ack stamp, span))` when
-/// complete, `Err(job)` to re-park. A `Disconnected` ticket (an
-/// evaluation-side failure, e.g. the testkit's drop-before-reply
-/// fault) answers [`ErrorCode::Internal`] — accepted jobs are always
-/// answered.
-#[allow(clippy::type_complexity)]
-fn poll_job(
-    job: PendingJob,
+/// Polls one parked ticket: the reply frame and the job's trace cell
+/// once complete. A `Disconnected` ticket (an evaluation-side failure,
+/// e.g. the testkit's drop-before-reply fault) answers
+/// [`ErrorCode::Internal`] — accepted jobs are always answered.
+fn poll_job<T: WireElement>(
+    req: u64,
+    ticket: &mut JobTicket<T>,
     cx: &mut Context<'_>,
-) -> Result<(Frame, u64, Option<Arc<SpanCell>>), PendingJob> {
-    let PendingJob { req, t_ack, ticket } = job;
-    match ticket {
-        Ticket::F64(mut ticket) => match std::pin::Pin::new(&mut ticket).poll(cx) {
-            Poll::Ready(Ok(data)) => Ok((
-                Frame::ResultF64 { req, data },
-                t_ack,
-                ticket.span().cloned(),
-            )),
-            Poll::Ready(Err(_)) => Ok((
-                Frame::Error {
-                    req,
-                    code: ErrorCode::Internal,
-                    detail: 0,
-                },
-                t_ack,
-                ticket.span().cloned(),
-            )),
-            Poll::Pending => Err(PendingJob {
-                req,
-                t_ack,
-                ticket: Ticket::F64(ticket),
-            }),
+) -> Poll<(Frame, Option<Arc<SpanCell>>)> {
+    let frame = match std::pin::Pin::new(&mut *ticket).poll(cx) {
+        Poll::Pending => return Poll::Pending,
+        Poll::Ready(Ok(data)) => T::result_frame(req, data),
+        Poll::Ready(Err(_)) => Frame::Error {
+            req,
+            code: ErrorCode::Internal,
+            detail: 0,
         },
-        Ticket::F32(mut ticket) => match std::pin::Pin::new(&mut ticket).poll(cx) {
-            Poll::Ready(Ok(data)) => Ok((
-                Frame::ResultF32 { req, data },
-                t_ack,
-                ticket.span().cloned(),
-            )),
-            Poll::Ready(Err(_)) => Ok((
-                Frame::Error {
-                    req,
-                    code: ErrorCode::Internal,
-                    detail: 0,
-                },
-                t_ack,
-                ticket.span().cloned(),
-            )),
-            Poll::Pending => Err(PendingJob {
-                req,
-                t_ack,
-                ticket: Ticket::F32(ticket),
-            }),
-        },
-    }
+    };
+    Poll::Ready((frame, ticket.span().cloned()))
 }
