@@ -29,7 +29,8 @@ mod sealed {
 /// A sample precision the engine serves: `f64` or `f32`.
 ///
 /// `Into<f64>` is exact for both, which lets precision-blind consumers
-/// (input histograms, reports) widen samples without a second code path.
+/// (the serving tier's input histograms) widen samples without a second
+/// code path.
 pub trait Element: sealed::Sealed + Copy + Default + Into<f64> + Send + Sync + 'static {
     /// This precision's compiled single-threaded engine.
     type Engine: CompiledEngine<Elem = Self>;

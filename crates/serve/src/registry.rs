@@ -458,9 +458,8 @@ impl FunctionRegistry {
             .and_then(|e| e.policy)
     }
 
-    /// Whether `id` is registered — the submission hot path's validation
-    /// (one read lock, no `Arc` refcount traffic; the program snapshot
-    /// itself is taken later, at flush time).
+    /// Whether `id` is registered (one read lock, no `Arc` refcount
+    /// traffic).
     pub fn contains(&self, id: FunctionId) -> bool {
         (id.0 as usize) < self.entries.read().unwrap().len()
     }
