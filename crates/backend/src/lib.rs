@@ -41,7 +41,10 @@
 //! Implement [`EvalBackend::lower`] to translate the engine's tables
 //! into whatever representation the target consumes (device buffers, a
 //! quantized LUT, an RPC handle …) and [`BackendProgram::eval_scatter_into`]
-//! to evaluate a packed buffer and scatter results into per-job slices.
+//! to evaluate a packed buffer and scatter results into per-job slices
+//! ([`BackendProgram::eval_in_place`], the one-job path, has a default
+//! built on it; override it when the target can evaluate without the
+//! copy).
 //! Programs must be `Send + Sync`: the serving worker pool shares them
 //! across threads. Return `hw: None` in [`FlushStats`] if the backend
 //! has no cost model.
@@ -222,6 +225,19 @@ pub trait BackendProgram<T: Element = f64>: Send + Sync {
     ///
     /// Panics if the output lengths do not sum to `xs.len()`.
     fn eval_scatter_into(&self, xs: &[T], outs: &mut [&mut [T]]) -> FlushStats;
+
+    /// Evaluates `xs` in place, overwriting every input with its result
+    /// — the serving tier's path for a flush of one job, whose buffer
+    /// then goes back to the caller as the result. Outputs and stats are
+    /// those of [`Self::eval_scatter_into`] on the same input.
+    ///
+    /// The default copies the input to a temporary and scatters into
+    /// `xs`; [`NativeProgram`] overrides it with a copy-free serial
+    /// path ([`flexsfu_core::ParallelPwl::eval_in_place`]).
+    fn eval_in_place(&self, xs: &mut [T]) -> FlushStats {
+        let input = xs.to_vec();
+        self.eval_scatter_into(&input, &mut [xs])
+    }
 
     /// Convenience: evaluates `xs` into a fresh contiguous `Vec`.
     fn eval_batch(&self, xs: &[T]) -> (Vec<T>, FlushStats) {

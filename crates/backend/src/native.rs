@@ -74,6 +74,14 @@ impl<T: Element> BackendProgram<T> for NativeProgram<T> {
             hw: None,
         }
     }
+
+    fn eval_in_place(&self, xs: &mut [T]) -> FlushStats {
+        self.engine.eval_in_place(xs);
+        FlushStats {
+            elems: xs.len(),
+            hw: None,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -20,8 +20,12 @@
 //!    datapath spec rather than the `hw` crate's implementation.
 //! 3. **Cost-model sanity** — every flush reports cycles > 0 and
 //!    positive energy.
+//! 4. **In-place evaluation** — `BackendProgram::eval_in_place`, the
+//!    serving tier's path for a flush of one job, returns the outputs
+//!    and the `FlushStats` of `eval_batch` on the same input, on the
+//!    emulator's default implementation and the native override.
 
-use flexsfu_backend::{BackendProgram, LowerError, SfuBackend};
+use flexsfu_backend::{BackendProgram, EvalBackend, LowerError, NativeBackend, SfuBackend};
 use flexsfu_core::init::uniform_pwl;
 use flexsfu_core::PwlFunction;
 use flexsfu_formats::ulp::{self, F16_ULP_AT_1};
@@ -123,6 +127,46 @@ fn every_registry_function_within_declared_fp16_ulp_budget() {
             bound / F16_ULP_AT_1,
             max_ulps
         );
+    }
+}
+
+/// `eval_in_place` on `program` must equal `eval_batch` bit for bit,
+/// with the same `FlushStats`.
+fn assert_in_place_matches_batch<T, P>(program: &P, xs: &[T], bits: fn(T) -> u64, label: &str)
+where
+    T: flexsfu_core::Element,
+    P: BackendProgram<T> + ?Sized,
+{
+    let (want, want_stats) = program.eval_batch(xs);
+    let mut got = xs.to_vec();
+    let stats = program.eval_in_place(&mut got);
+    assert_eq!(stats, want_stats, "{label}: flush stats");
+    for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
+        assert_eq!(bits(g), bits(w), "{label}: element {i}");
+    }
+}
+
+#[test]
+fn eval_in_place_matches_eval_batch_outputs_and_stats() {
+    for f in all_standard() {
+        let (lo, hi) = f.default_range();
+        let pwl = uniform_pwl(f.as_ref(), BREAKPOINTS, (lo, hi));
+        let engine = pwl.compile();
+        let mut xs = parity_inputs(&pwl, lo, hi);
+        xs.extend([f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 1e9]);
+
+        let sfu = SfuBackend::fp16(32).lower(&engine).unwrap();
+        assert_in_place_matches_batch(sfu.as_ref(), &xs, f64::to_bits, f.name());
+        assert_in_place_matches_batch(sfu.as_ref(), &[], f64::to_bits, f.name());
+
+        let native = NativeBackend::new().lower(&engine).unwrap();
+        assert_in_place_matches_batch(native.as_ref(), &xs, f64::to_bits, f.name());
+        let native32 = NativeBackend::new()
+            .lower_f32(&flexsfu_core::CompiledPwlF32::from_pwl(&pwl))
+            .unwrap();
+        let xs32: Vec<f32> = xs.iter().map(|&x| x as f32).collect();
+        let bits32 = |x: f32| u64::from(x.to_bits());
+        assert_in_place_matches_batch(native32.as_ref(), &xs32, bits32, f.name());
     }
 }
 

@@ -189,10 +189,12 @@ pub(crate) mod splitter_tests {
     }
 
     /// Above the parallel threshold, with one oversized job that must
-    /// become a run of its own.
+    /// become a run of its own — and a lone job, whose single run the
+    /// calling thread evaluates itself.
     pub(crate) fn splits_at_job_boundaries<T: Lane>() {
         let n = PARALLEL_MIN_ELEMENTS * 2;
         assert_parallel_scatter_matches::<T>(&[300, n - 1000, 0, 700]);
+        assert_parallel_scatter_matches::<T>(&[PARALLEL_MIN_ELEMENTS + 1]);
     }
 
     /// 7 jobs, each just over half the per-thread share: the greedy

@@ -96,6 +96,10 @@ pub(crate) const CHUNK: usize = 4096;
 /// overhead would dominate.
 pub(crate) const PARALLEL_MIN_ELEMENTS: usize = 1 << 15;
 
+/// Elements per stack block in [`ParallelPwl::eval_in_place`]: 8 KiB of
+/// f64, so the block and the slice it overwrites stay L1-resident.
+pub const IN_PLACE_BLOCK: usize = 1024;
+
 /// Elements per block in the SIMD lane kernels. Each block runs as
 /// distributed passes (vector index math, scalar table gathers, vector
 /// multiply-add) over stack arrays small enough to stay register/L1
@@ -1186,6 +1190,26 @@ impl<T: Element> ParallelPwl<T> {
         out
     }
 
+    /// Evaluates `xs` in place, overwriting every input with its result
+    /// — the serving tier's path for a flush of one job, which then
+    /// hands the job's own buffer back. Each [`IN_PLACE_BLOCK`]
+    /// of inputs is copied to a stack block and evaluated from there
+    /// into the slice through the same SIMD kernels as
+    /// [`Self::eval_into`], so results are bit-identical to it.
+    ///
+    /// Always serial on the calling thread, whatever the thread count:
+    /// fanning one job out costs more in spawns and cross-core traffic
+    /// than it saves, and the serving tier runs several of these at
+    /// once on its own worker pool.
+    pub fn eval_in_place(&self, xs: &mut [T]) {
+        let mut block = [T::default(); IN_PLACE_BLOCK];
+        for chunk in xs.chunks_mut(IN_PLACE_BLOCK) {
+            let inputs = &mut block[..chunk.len()];
+            inputs.copy_from_slice(chunk);
+            T::eval_into(&self.inner, inputs, chunk);
+        }
+    }
+
     /// The threaded counterpart of [`CompiledPwl::eval_scatter_into`]:
     /// evaluates the packed input and scatters results into the
     /// non-contiguous output slices, fanning work out over threads for
@@ -1194,7 +1218,8 @@ impl<T: Element> ParallelPwl<T> {
     /// never split across threads), so each thread runs the serial
     /// scatter kernel on an independent `(input subrange, output run)`
     /// pair — results are identical to the serial path regardless of
-    /// thread count.
+    /// thread count. The last run evaluates on the calling thread, so a
+    /// flush that yields one run (a single large job) spawns nothing.
     ///
     /// # Panics
     ///
@@ -1232,7 +1257,11 @@ impl<T: Element> ParallelPwl<T> {
                 let xc = &xs[off..off + take_elems];
                 off += take_elems;
                 let engine = &self.inner;
-                scope.spawn(move || scatter_into::<T>(engine, xc, run));
+                if rest.is_empty() {
+                    scatter_into::<T>(engine, xc, run);
+                } else {
+                    scope.spawn(move || scatter_into::<T>(engine, xc, run));
+                }
             }
         });
     }

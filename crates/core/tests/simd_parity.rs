@@ -5,7 +5,8 @@
 //! is not a multiple of any lane width, on every kernel (linear-scan,
 //! bucket, search fallback).
 
-use flexsfu_core::{CompiledPwl, CompiledPwlF32, PwlEvaluator, PwlFunction};
+use flexsfu_core::engine::IN_PLACE_BLOCK;
+use flexsfu_core::{CompiledPwl, CompiledPwlF32, ParallelPwl, PwlEvaluator, PwlFunction};
 
 /// Segment counts that exercise every kernel: ≤ 8 segments take the
 /// linear-scan path, larger tables the bucket path, and the clustered
@@ -589,5 +590,70 @@ fn every_registry_function_within_declared_fp32_ulp_budget() {
             "{:12}  measured {max_ulps:6.2} ulp@1   budget {budget:5.1}",
             f.name()
         );
+    }
+}
+
+// ---------------------------------------------------------------------
+// In place: `ParallelPwl::eval_in_place`, the serving tier's path for a
+// flush of one job, against `eval_batch` on the same engine — both
+// precisions, both lookup paths (≤ 8 segments: linear scan; more:
+// bucket), and lengths around the stack block plus one well above the
+// parallel threshold, where `eval_batch` fans out and `eval_in_place`
+// stays serial.
+// ---------------------------------------------------------------------
+
+const IN_PLACE_LENGTHS: [usize; 6] = [
+    0,
+    1,
+    IN_PLACE_BLOCK - 1,
+    IN_PLACE_BLOCK,
+    IN_PLACE_BLOCK + 1,
+    100_000,
+];
+
+#[test]
+fn eval_in_place_is_bit_identical_to_eval_batch() {
+    for segments in [8usize, 64] {
+        let pwl = pwl_with_segments(segments);
+        let par = ParallelPwl::with_threads(CompiledPwl::from_pwl(&pwl), 4);
+        let base = adversarial_inputs(&pwl);
+        for n in IN_PLACE_LENGTHS {
+            let xs: Vec<f64> = (0..n).map(|i| base[i % base.len()]).collect();
+            let want = par.eval_batch(&xs);
+            let mut got = xs.clone();
+            par.eval_in_place(&mut got);
+            for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(
+                    g.to_bits(),
+                    w.to_bits(),
+                    "{segments} segments, length {n}, element {i} (x = {:?})",
+                    xs[i]
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn f32_eval_in_place_is_bit_identical_to_eval_batch() {
+    for segments in [8usize, 64] {
+        let pwl = pwl_with_segments(segments);
+        let engine = CompiledPwlF32::from_pwl(&pwl);
+        let base = adversarial_inputs_f32(&pwl, &engine);
+        let par = ParallelPwl::with_threads(engine, 4);
+        for n in IN_PLACE_LENGTHS {
+            let xs: Vec<f32> = (0..n).map(|i| base[i % base.len()]).collect();
+            let want = par.eval_batch(&xs);
+            let mut got = xs.clone();
+            par.eval_in_place(&mut got);
+            for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(
+                    g.to_bits(),
+                    w.to_bits(),
+                    "{segments} segments, f32 length {n}, element {i} (x = {:?})",
+                    xs[i]
+                );
+            }
+        }
     }
 }

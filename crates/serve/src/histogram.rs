@@ -170,31 +170,124 @@ impl InputHistogramSnapshot {
     }
 }
 
+/// Inputs per block of slot codes in [`HistogramAccum::record`].
+const TALLY_BLOCK: usize = 256;
+
+/// Tally slots: one per bucket, then below, above and NaN — padded to a
+/// power of two, so a masked slot code indexes a tally without a
+/// bounds check.
+const SLOTS: usize = 128;
+const SLOT_MASK: u64 = SLOTS as u64 - 1;
+const BELOW: usize = INPUT_HIST_BUCKETS;
+const ABOVE: usize = INPUT_HIST_BUCKETS + 1;
+const NAN: usize = INPUT_HIST_BUCKETS + 2;
+
+/// Interleaved tally copies: consecutive inputs often share a slot, and
+/// spreading them over several counters keeps each increment from
+/// waiting on the previous one.
+const TALLY_COPIES: usize = 4;
+
+/// 2⁵²: adding then subtracting it rounds a float in `[0, 2⁵²)` to the
+/// nearest integer, and the low bits of `c + 2⁵²` hold such an integer
+/// `c` — integer conversions without the saturating casts that keep a
+/// loop from vectorizing.
+const ROUND: f64 = 4_503_599_627_370_496.0;
+
 /// The thread-safe accumulator a registry entry owns and flush units
-/// carry — workers feed it, readers snapshot or drain it. One mutex
-/// acquisition per flush (not per element).
-pub(crate) struct HistogramAccum(Mutex<InputHistogramSnapshot>);
+/// carry — workers feed it, readers snapshot or drain it. A flush's
+/// inputs are tallied off the lock into stack counters; the lock is
+/// taken once per flush, only to merge those counters, so two workers
+/// recording the same function never wait on each other's tallies.
+pub(crate) struct HistogramAccum {
+    /// The pinned range, readable without the lock.
+    lo: f64,
+    hi: f64,
+    hist: Mutex<InputHistogramSnapshot>,
+}
 
 impl HistogramAccum {
-    pub(crate) fn new(lo: f64, hi: f64, buckets: usize) -> Self {
-        Self(Mutex::new(InputHistogramSnapshot::empty(lo, hi, buckets)))
-    }
-
-    /// Tallies one flush's inputs. Both precisions feed the same
-    /// histogram — the widening to f64 is exact.
-    pub(crate) fn record<T: Element>(&self, xs: &[T]) {
-        let mut h = self.0.lock().unwrap();
-        for &x in xs {
-            h.record(x.into());
+    /// An empty accumulator over `[lo, hi)` with
+    /// [`INPUT_HIST_BUCKETS`] buckets.
+    ///
+    /// # Panics
+    ///
+    /// As [`InputHistogramSnapshot::empty`].
+    pub(crate) fn new(lo: f64, hi: f64) -> Self {
+        Self {
+            lo,
+            hi,
+            hist: Mutex::new(InputHistogramSnapshot::empty(lo, hi, INPUT_HIST_BUCKETS)),
         }
     }
 
+    /// Tallies one flush's inputs. Both precisions feed the same
+    /// histogram — the widening to f64 is exact. Counts are identical
+    /// to [`InputHistogramSnapshot::record`] on each input.
+    pub(crate) fn record<T: Element>(&self, xs: &[T]) {
+        if xs.is_empty() {
+            return;
+        }
+        let mut tally = [[0u64; SLOTS]; TALLY_COPIES];
+        let mut codes = [0u64; TALLY_BLOCK];
+        for block in xs.chunks(TALLY_BLOCK) {
+            let codes = &mut codes[..block.len()];
+            for (code, &x) in codes.iter_mut().zip(block) {
+                *code = self.slot_code(x.into());
+            }
+            let mut groups = codes.chunks_exact(TALLY_COPIES);
+            for group in &mut groups {
+                for (copy, &code) in tally.iter_mut().zip(group) {
+                    copy[(code & SLOT_MASK) as usize] += 1;
+                }
+            }
+            for &code in groups.remainder() {
+                tally[0][(code & SLOT_MASK) as usize] += 1;
+            }
+        }
+        let slot = |s: usize| tally.iter().map(|copy| copy[s]).sum::<u64>();
+        let mut h = self.hist.lock().expect("no histogram holder panics");
+        for (b, count) in h.counts.iter_mut().enumerate() {
+            *count += slot(b);
+        }
+        h.below += slot(BELOW);
+        h.above += slot(ABOVE);
+        h.nan += slot(NAN);
+    }
+
+    /// The tally slot of `x` in its low bits, computed without branches
+    /// or saturating casts: the bucket exactly as
+    /// [`InputHistogramSnapshot::bucket_of`] computes it when `x` is in
+    /// range, else [`BELOW`], [`ABOVE`] or [`NAN`] as
+    /// [`InputHistogramSnapshot::record`] classifies it.
+    #[inline(always)]
+    fn slot_code(&self, x: f64) -> u64 {
+        let n = INPUT_HIST_BUCKETS as f64;
+        // `bucket_of`'s expression; in range, 0 <= v <= n.
+        let v = (x - self.lo) / (self.hi - self.lo) * n;
+        let nearest = (v + ROUND) - ROUND;
+        let floor = nearest - if nearest > v { 1.0 } else { 0.0 };
+        let bucket = floor.min(n - 1.0);
+        let slot = if x < self.lo {
+            BELOW as f64
+        } else if x >= self.hi {
+            ABOVE as f64
+        } else if x.is_nan() {
+            NAN as f64
+        } else {
+            bucket
+        };
+        (slot + ROUND).to_bits()
+    }
+
     pub(crate) fn snapshot(&self) -> InputHistogramSnapshot {
-        self.0.lock().unwrap().clone()
+        self.hist
+            .lock()
+            .expect("no histogram holder panics")
+            .clone()
     }
 
     pub(crate) fn drain(&self) -> InputHistogramSnapshot {
-        let mut h = self.0.lock().unwrap();
+        let mut h = self.hist.lock().expect("no histogram holder panics");
         let out = h.clone();
         h.clear();
         out
@@ -262,9 +355,104 @@ mod tests {
         a.merge(&b);
     }
 
+    /// `x` and up to 3 ulps either side of it, in f64 and in f32.
+    fn ulp_neighbourhood(x: f64, out64: &mut Vec<f64>, out32: &mut Vec<f32>) {
+        let (mut up, mut down) = (x, x);
+        out64.push(x);
+        for _ in 0..3 {
+            (up, down) = (up.next_up(), down.next_down());
+            out64.extend([up, down]);
+        }
+        let x32 = x as f32;
+        let (mut up, mut down) = (x32, x32);
+        out32.push(x32);
+        for _ in 0..3 {
+            (up, down) = (up.next_up(), down.next_down());
+            out32.extend([up, down]);
+        }
+    }
+
+    /// Inputs that stress every classification edge of `[lo, hi)`.
+    fn edge_inputs(lo: f64, hi: f64) -> (Vec<f64>, Vec<f32>) {
+        let (mut xs, mut xs32) = (Vec::new(), Vec::new());
+        let n = INPUT_HIST_BUCKETS;
+        for k in 0..=n {
+            let edge = lo + (hi - lo) * k as f64 / n as f64;
+            ulp_neighbourhood(edge, &mut xs, &mut xs32);
+        }
+        for x in [lo, hi, hi.next_down(), 0.0, -0.0] {
+            ulp_neighbourhood(x, &mut xs, &mut xs32);
+        }
+        let sub = f64::MIN_POSITIVE / 3.0;
+        let sub32 = f64::from(f32::MIN_POSITIVE / 3.0);
+        for x in [
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            sub,
+            -sub,
+            sub32,
+            -sub32,
+            f64::from_bits(1),
+            f64::MAX,
+            f64::MIN,
+        ] {
+            xs.push(x);
+            xs32.push(x as f32);
+        }
+        (xs, xs32)
+    }
+
+    /// The off-lock tally against the reference `record`, count for
+    /// count, in both precisions (f32 inputs widened exactly).
+    fn assert_tally_matches_reference(lo: f64, hi: f64) {
+        let (xs, xs32) = edge_inputs(lo, hi);
+        assert!(xs.len() > TALLY_BLOCK, "inputs span several code blocks");
+        let acc = HistogramAccum::new(lo, hi);
+        let mut want = InputHistogramSnapshot::empty(lo, hi, INPUT_HIST_BUCKETS);
+        acc.record(&xs);
+        want.record_slice(&xs);
+        assert_eq!(acc.drain(), want, "f64 inputs over [{lo}, {hi})");
+        let mut want = InputHistogramSnapshot::empty(lo, hi, INPUT_HIST_BUCKETS);
+        acc.record(&xs32);
+        for &x in &xs32 {
+            want.record(f64::from(x));
+        }
+        assert_eq!(acc.snapshot(), want, "f32 inputs over [{lo}, {hi})");
+        // Every in-range input also lands where `bucket_of` puts it.
+        for &x in &xs {
+            if let Some(b) = want.bucket_of(x) {
+                assert_eq!(acc.slot_code(x) & SLOT_MASK, b as u64, "x = {x:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn off_lock_tally_matches_reference_record_at_every_edge() {
+        // Hand-picked ranges, one of them not symmetric about zero ...
+        let mut ranges = vec![(-8.0, 8.0), (0.0, 1.0), (-3.7, 11.25), (-1e-3, 7e5)];
+        // ... and the ranges registration pins for every built-in
+        // activation at both table depths the serving tier runs.
+        let registry = crate::FunctionRegistry::new();
+        for f in flexsfu_funcs::all_standard() {
+            for breakpoints in [7, 31] {
+                let pwl =
+                    flexsfu_core::init::uniform_pwl(f.as_ref(), breakpoints, f.default_range());
+                let pinned = registry
+                    .input_histogram(registry.register(f.name(), &pwl))
+                    .unwrap();
+                ranges.push((pinned.lo, pinned.hi));
+            }
+        }
+        for (lo, hi) in ranges {
+            assert_tally_matches_reference(lo, hi);
+        }
+    }
+
     #[test]
     fn accum_drain_resets_but_keeps_shape() {
-        let acc = HistogramAccum::new(-4.0, 4.0, 16);
+        let acc = HistogramAccum::new(-4.0, 4.0);
         acc.record(&[0.0f64, 1.0, 2.0]);
         acc.record(&[-1.0f32, -2.0]);
         let first = acc.drain();

@@ -12,8 +12,10 @@
 //! coalesces everything pending into **one contiguous buffer per
 //! function** — flushing on a size threshold or a deadline tick — a
 //! worker pool evaluates each buffer through the engine's slice-scatter
-//! entry point ([`flexsfu_core::CompiledPwl::eval_scatter_into`]), and
-//! every job's result slice travels back over its own oneshot channel.
+//! entry point ([`flexsfu_core::CompiledPwl::eval_scatter_into`]) —
+//! a flush of one job skips the pack and evaluates in place — and
+//! every job's results travel back over its own oneshot channel in the
+//! `Vec` the job was submitted in.
 //! Results are **bit-identical** to evaluating each tensor directly with
 //! the engine ([`flexsfu_core::PwlEvaluator::eval_batch`]).
 //!

@@ -21,7 +21,7 @@
 //! [`flexsfu_backend::FlushStats`] accumulate into per-function
 //! counters, readable via [`FunctionRegistry::backend_stats`].
 
-use crate::histogram::{HistogramAccum, InputHistogramSnapshot, INPUT_HIST_BUCKETS};
+use crate::histogram::{HistogramAccum, InputHistogramSnapshot};
 use crate::server::{FlushPolicy, ServeElement};
 use flexsfu_backend::{BackendProgram, EvalBackend, FlushStats, NativeBackend};
 use flexsfu_core::{CompiledPwl, CompiledPwlF32, ParallelPwl, ParallelPwlF32, PwlFunction};
@@ -257,7 +257,7 @@ impl FunctionRegistry {
             backend,
             policy,
             stats: Arc::new(StatsAccumulator::default()),
-            histogram: Arc::new(HistogramAccum::new(hist_lo, hist_hi, INPUT_HIST_BUCKETS)),
+            histogram: Arc::new(HistogramAccum::new(hist_lo, hist_hi)),
         });
         Ok(id)
     }

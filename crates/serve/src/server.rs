@@ -17,15 +17,19 @@
 //! functions' jobs stay queued until *their* policy fires, so a
 //! latency-critical function under a tight deadline is never held
 //! hostage by a throughput-oriented one. Each flush is planned with
-//! [`FlushPlan`], packed into one contiguous buffer per function, and
-//! handed to the workers with a snapshot of the function's **backend
-//! program** from the registry. Workers evaluate through
-//! [`flexsfu_backend::BackendProgram::eval_scatter_into`] (the native
-//! SIMD kernels, the SFU emulator, or any other bound backend — a unit
-//! never mixes backends because it never mixes functions), record the
-//! flush's [`flexsfu_backend::FlushStats`] into the registry's
-//! per-function counters, and complete each job's oneshot channel with
-//! its result slice.
+//! [`FlushPlan`] into one unit per function and handed to the workers
+//! with a snapshot of the function's **backend program** from the
+//! registry (the native SIMD kernels, the SFU emulator, or any other
+//! bound backend — a unit never mixes backends because it never mixes
+//! functions). A unit of one job evaluates in that job's own buffer
+//! through [`flexsfu_backend::BackendProgram::eval_in_place`]; a unit
+//! of several is packed into one contiguous buffer and evaluated
+//! through [`flexsfu_backend::BackendProgram::eval_scatter_into`],
+//! which scatters each job's results back into its own buffer. Workers
+//! record the flush's [`flexsfu_backend::FlushStats`] into the
+//! registry's per-function counters and complete each job's oneshot
+//! channel with the `Vec` the job was submitted in, now holding its
+//! results: a round trip allocates no result buffer.
 //!
 //! [`PwlServer::shutdown`] (also run on drop) stops admissions, drains
 //! every already-accepted job through a final flush, and joins all
@@ -169,7 +173,7 @@ impl ServeElement for f32 {
 /// One pending job: the tensor (in its submitted precision), its target
 /// function, and the channel the result goes back over. An f32 job
 /// stays f32 from submission to scatter-back — the packed flush buffer,
-/// the kernels and the result vector never touch f64.
+/// the kernels and the returned buffer never touch f64.
 pub struct LaneJob<T: Element> {
     func: FunctionId,
     data: Vec<T>,
@@ -196,18 +200,22 @@ impl Job {
     }
 }
 
-/// One packed job inside a flush unit: `(element count, result
-/// channel, trace cell)` in packed order.
-type PackedJob<T> = (usize, oneshot::Sender<Vec<T>>, Option<Arc<SpanCell>>);
+/// One job inside a flush unit: `(the job's own buffer, result
+/// channel, trace cell)` in packed order. The buffer's inputs are
+/// overwritten with their results and sent back, so no job gets a
+/// result allocation.
+type PackedJob<T> = (Vec<T>, oneshot::Sender<Vec<T>>, Option<Arc<SpanCell>>);
 
-/// One function's packed share of a flush, ready for a worker: the
-/// backend program snapshot it evaluates through (in the flush's
-/// precision — a unit never mixes precisions, just as it never mixes
-/// functions), and the stats sink the flush's cost lands in.
+/// One function's share of a flush, ready for a worker: the backend
+/// program snapshot it evaluates through (in the flush's precision — a
+/// unit never mixes precisions, just as it never mixes functions), and
+/// the stats sink the flush's cost lands in.
 pub struct LaneUnit<T: Element> {
     program: Arc<dyn BackendProgram<T>>,
     stats: Arc<StatsAccumulator>,
     histogram: Arc<HistogramAccum>,
+    /// The jobs' inputs packed end to end; empty for a unit of one job,
+    /// which evaluates in its own buffer.
     xs: Vec<T>,
     jobs: Vec<PackedJob<T>>,
     obs: Option<UnitObs>,
@@ -512,8 +520,11 @@ impl Drop for PwlServer {
 impl ServeHandle {
     /// Submits `(func, data)` for evaluation, blocking while the queue is
     /// over its element bound, and returns the ticket the results arrive
-    /// on. Zero-length tensors are legal and complete with an empty
-    /// result.
+    /// on. The results come back in `data` itself: each input is
+    /// overwritten with its result and the ticket yields the same `Vec`
+    /// (same allocation), so a caller can reuse it for its next
+    /// submission. Zero-length tensors are legal and complete with an
+    /// empty result.
     ///
     /// The precision follows `data`. An f32 tensor is batched into an
     /// f32 flush buffer, evaluated through the backend's f32 program
@@ -895,11 +906,16 @@ fn dispatch_lane<T: ServeElement>(
             state: Arc::clone(o),
             func: o.func(group.func, registry),
         });
-        let mut xs = vec![T::default(); group.total];
+        // A lone job needs no pack: it evaluates in its own buffer.
+        let lone = group.spans.len() == 1;
+        let mut xs = Vec::with_capacity(if lone { 0 } else { group.total });
         let mut jobs = Vec::with_capacity(group.spans.len());
         for span in &group.spans {
             let job = slots[span.job].take().expect("span bijection");
-            xs[span.offset..span.offset + span.len].copy_from_slice(&job.data);
+            if !lone {
+                debug_assert_eq!(xs.len(), span.offset, "spans tile the buffer");
+                xs.extend_from_slice(&job.data);
+            }
             if let Some(u) = &unit_obs {
                 u.func
                     .queue_wait_ns
@@ -908,7 +924,7 @@ fn dispatch_lane<T: ServeElement>(
                     cell.record(Stage::FlushPlan, plan_ns);
                 }
             }
-            jobs.push((span.len, job.tx, job.span));
+            jobs.push((job.data, job.tx, job.span));
         }
         if let Some(u) = &unit_obs {
             u.state.flush_units.inc();
@@ -964,22 +980,28 @@ fn worker_loop(rx: &Mutex<mpsc::Receiver<FlushUnit>>, faults: Option<&Faults>) {
     }
 }
 
-/// Scatter-evaluates one unit's packed buffer through its backend
-/// program (in the unit's precision) straight into per-job result
-/// buffers, records the flush cost, and completes the oneshots.
+/// Evaluates one unit through its backend program (in the unit's
+/// precision) into the jobs' own buffers, records the flush cost, and
+/// completes the oneshots with those buffers. A lone job evaluates in
+/// place; several jobs evaluate from the packed buffer and scatter back
+/// into their inputs.
 fn eval_unit<T: Element>(unit: LaneUnit<T>, faults: Option<&Faults>) {
     let LaneUnit {
         program,
         stats,
         histogram,
         xs,
-        jobs,
+        mut jobs,
         obs,
     } = unit;
-    // Record inputs before completing any ticket: once every ticket of
-    // a quiesced batch has resolved, the histogram already reflects all
-    // of its elements — the ordering drift-window determinism relies on.
-    histogram.record(&xs);
+    // Record inputs before evaluating overwrites them, and before
+    // completing any ticket: once every ticket of a quiesced batch has
+    // resolved, the histogram already reflects all of its elements —
+    // the ordering drift-window determinism relies on.
+    match &jobs[..] {
+        [(data, ..)] => histogram.record(data),
+        _ => histogram.record(&xs),
+    }
     let eval_start = obs.as_ref().map(|u| {
         let t = u.state.now_ns();
         for (_, _, cell) in &jobs {
@@ -989,16 +1011,18 @@ fn eval_unit<T: Element>(unit: LaneUnit<T>, faults: Option<&Faults>) {
         }
         t
     });
-    let mut outs: Vec<Vec<T>> = jobs.iter().map(|(n, ..)| vec![T::default(); *n]).collect();
-    let flush_stats = {
-        let mut views: Vec<&mut [T]> = outs.iter_mut().map(|o| o.as_mut_slice()).collect();
-        program.eval_scatter_into(&xs, &mut views)
+    let flush_stats = match &mut jobs[..] {
+        [(data, ..)] => program.eval_in_place(data),
+        _ => {
+            let mut views: Vec<&mut [T]> = jobs.iter_mut().map(|j| j.0.as_mut_slice()).collect();
+            program.eval_scatter_into(&xs, &mut views)
+        }
     };
     stats.record(&flush_stats);
     if let (Some(u), Some(t0)) = (&obs, eval_start) {
         record_flush_obs(u, t0, &flush_stats);
     }
-    for ((_, tx, cell), out) in jobs.into_iter().zip(outs) {
+    for (out, tx, cell) in jobs {
         // Injected reply loss (testkit): drop the channel so the ticket
         // observes `Disconnected`.
         if faults.is_some_and(Faults::take_drop_reply) {

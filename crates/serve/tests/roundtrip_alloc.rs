@@ -5,6 +5,11 @@
 //! and scatter-back — so an extra boxed trait object or an extra `Vec`
 //! per job anywhere on the path raises it.
 //!
+//! Results come back in the submitted buffer, so the test also pins
+//! zero copy: `wait()` must return the very allocation `submit` was
+//! given, for a job flushed alone (every measured trip) and for jobs
+//! flushed together with others.
+//!
 //! The bounds are the per-trip maxima measured on the code as it stood
 //! when this pin landed; a trip may allocate fewer, never more.
 //!
@@ -14,10 +19,13 @@
 
 use flexsfu_core::init::uniform_pwl;
 use flexsfu_funcs::Gelu;
-use flexsfu_serve::{FunctionRegistry, PwlServer, ServeConfig};
+use flexsfu_serve::{
+    FunctionId, FunctionRegistry, PwlServer, ServeConfig, ServeElement, ServeHandle,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// System allocator with a global allocation counter.
 struct CountingAlloc;
@@ -46,11 +54,13 @@ static COUNTER: CountingAlloc = CountingAlloc;
 const ELEMS: usize = 96;
 const WARM_TRIPS: usize = 64;
 const TRIPS: usize = 200;
+/// Jobs submitted together for the batched zero-copy check.
+const BATCH: usize = 3;
 
 /// Most allocations one warm f64 round trip may make.
-const MAX_ALLOCS_F64: u64 = 15;
+const MAX_ALLOCS_F64: u64 = 10;
 /// Most allocations one warm f32 round trip may make.
-const MAX_ALLOCS_F32: u64 = 15;
+const MAX_ALLOCS_F32: u64 = 10;
 
 /// Runs `trips` round trips over pre-built inputs, returning the
 /// allocation count of each.
@@ -67,6 +77,28 @@ fn measure<T>(inputs: Vec<Vec<T>>, mut trip: impl FnMut(Vec<T>) -> usize) -> Vec
         .collect()
 }
 
+/// Submits `inputs` back to back, then checks that each result arrives
+/// in the buffer it was submitted in.
+fn assert_results_reuse_buffers<T: ServeElement>(
+    handle: &ServeHandle,
+    func: FunctionId,
+    inputs: Vec<Vec<T>>,
+) {
+    let ptrs: Vec<*const T> = inputs.iter().map(|xs| xs.as_ptr()).collect();
+    let tickets: Vec<_> = inputs
+        .into_iter()
+        .map(|xs| handle.submit(func, xs).unwrap())
+        .collect();
+    for (ticket, ptr) in tickets.into_iter().zip(ptrs) {
+        let out = ticket.wait().unwrap();
+        assert_eq!(
+            out.as_ptr(),
+            ptr,
+            "a batched job's result must reuse its buffer"
+        );
+    }
+}
+
 #[test]
 fn warm_round_trips_allocate_no_more_than_pinned() {
     let registry = Arc::new(FunctionRegistry::new());
@@ -78,8 +110,26 @@ fn warm_round_trips_allocate_no_more_than_pinned() {
         |k: usize| -> Vec<f64> { (0..ELEMS).map(|i| (i + k) as f64 * 0.13 - 6.0).collect() };
     let input32 =
         |k: usize| -> Vec<f32> { (0..ELEMS).map(|i| (i + k) as f32 * 0.13 - 6.0).collect() };
-    let trip64 = |xs: Vec<f64>| handle.submit(gelu, xs).unwrap().wait().unwrap().len();
-    let trip32 = |xs: Vec<f32>| handle.submit_f32(gelu, xs).unwrap().wait().unwrap().len();
+    let trip64 = |xs: Vec<f64>| {
+        let ptr = xs.as_ptr();
+        let out = handle.submit(gelu, xs).unwrap().wait().unwrap();
+        assert_eq!(
+            out.as_ptr(),
+            ptr,
+            "a lone job's result must reuse its buffer"
+        );
+        out.len()
+    };
+    let trip32 = |xs: Vec<f32>| {
+        let ptr = xs.as_ptr();
+        let out = handle.submit_f32(gelu, xs).unwrap().wait().unwrap();
+        assert_eq!(
+            out.as_ptr(),
+            ptr,
+            "a lone job's result must reuse its buffer"
+        );
+        out.len()
+    };
 
     // Warm every lazily grown container on the path (queue, pending
     // map, channel blocks, thread-locals) in both precisions.
@@ -89,6 +139,26 @@ fn warm_round_trips_allocate_no_more_than_pinned() {
     let per64 = measure((0..TRIPS).map(input64).collect(), trip64);
     let per32 = measure((0..TRIPS).map(input32).collect(), trip32);
     server.shutdown();
+
+    // Jobs flushed together: the size trigger fires exactly when all
+    // three are pending, so they share one packed unit. (The deadline
+    // only bounds how long a broken size trigger could stall the test.)
+    let batched = PwlServer::start(
+        Arc::clone(&registry),
+        ServeConfig {
+            flush_elements: BATCH * ELEMS,
+            flush_interval: Duration::from_secs(10),
+            ..ServeConfig::default()
+        },
+    );
+    let handle = batched.handle();
+    let flushes = || registry.backend_stats(gelu).unwrap().flushes;
+    let before = flushes();
+    assert_results_reuse_buffers(&handle, gelu, (0..BATCH).map(input64).collect());
+    assert_eq!(flushes(), before + 1, "the f64 jobs must share one unit");
+    assert_results_reuse_buffers(&handle, gelu, (0..BATCH).map(input32).collect());
+    assert_eq!(flushes(), before + 2, "the f32 jobs must share one unit");
+    batched.shutdown();
 
     let max64 = per64.iter().copied().max().unwrap();
     let max32 = per32.iter().copied().max().unwrap();
