@@ -247,45 +247,32 @@ impl CompiledPwl {
     /// Recompiles `pwl` into this engine **in place**, reusing every
     /// internal allocation whose capacity still suffices — the amortized
     /// form of [`CompiledPwl::from_pwl`] for callers that recompile the
-    /// same-shaped function every iteration (the optimizer recompiles
-    /// once per Adam step; at production sweep scale the per-step
-    /// `Vec` churn of a fresh compile is pure allocator traffic).
+    /// same-shaped function every iteration (at production sweep scale
+    /// the per-iteration `Vec` churn of a fresh compile is pure
+    /// allocator traffic).
     ///
     /// The resulting engine is indistinguishable from
     /// `CompiledPwl::from_pwl(pwl)`: the same construction code runs, so
     /// evaluation stays bit-identical and the engines compare equal.
     pub fn refill_from_pwl(&mut self, pwl: &PwlFunction) {
         let p = pwl.breakpoints();
-        let v = pwl.values();
         let n = p.len();
 
+        // Per-segment anchored lines: outer segments at their end
+        // breakpoints, inner ones at their left endpoints, with the
+        // exact slope quotient the scalar path computes per call.
         self.anchor_x.clear();
         self.anchor_y.clear();
         self.slope.clear();
         self.anchor_x.reserve(n + 1);
         self.anchor_y.reserve(n + 1);
         self.slope.reserve(n + 1);
-        let anchor_x = &mut self.anchor_x;
-        let anchor_y = &mut self.anchor_y;
-        let slope = &mut self.slope;
-
-        // Left outer segment, anchored at (p₀, v₀).
-        anchor_x.push(p[0]);
-        anchor_y.push(v[0]);
-        slope.push(pwl.left_slope());
-
-        // Inner segments, anchored at their left endpoints. The quotient
-        // here is the exact f64 the scalar path computes per call.
-        for i in 0..n - 1 {
-            anchor_x.push(p[i]);
-            anchor_y.push(v[i]);
-            slope.push((v[i + 1] - v[i]) / (p[i + 1] - p[i]));
+        for s in 0..=n {
+            let [ax, ay, m] = pwl.segment_line(s);
+            self.anchor_x.push(ax);
+            self.anchor_y.push(ay);
+            self.slope.push(m);
         }
-
-        // Right outer segment, anchored at (p_{n-1}, v_{n-1}).
-        anchor_x.push(p[n - 1]);
-        anchor_y.push(v[n - 1]);
-        slope.push(pwl.right_slope());
 
         // Uniform bucket index. Start at ~4 buckets per breakpoint and
         // refine (power of two, capped) until the window drops to the
@@ -521,8 +508,9 @@ impl CompiledPwl {
     /// Writes the table-order segment index of every sample into `out`.
     ///
     /// This is the batch analogue of [`PwlFunction::region`] for consumers
-    /// that need *where* each sample landed as well as the value — the
-    /// gradient kernel classifies every sample exactly once through this.
+    /// that need *where* each sample landed as well as the value. Sorted
+    /// inputs are cheaper through [`PwlFunction::segment_runs`], which
+    /// assigns the same segments without building the engine.
     ///
     /// # Panics
     ///
@@ -658,14 +646,12 @@ impl CompiledPwl {
     /// segment index as an exact f64 in `s_arr`, gather the segment
     /// coefficients (the one genuinely scalar step — pass 2), then run
     /// the anchored multiply-add and NaN screen four lanes wide (pass 3).
-    /// With `SEGS` the indices are also written to `segs`.
     #[inline(always)]
-    fn eval_block_from_segments<const SEGS: bool>(
+    fn eval_block_from_segments(
         &self,
         xc: &[f64; LANE_BLOCK],
         s_arr: &[f64; LANE_BLOCK],
         oc: &mut [f64; LANE_BLOCK],
-        segs: &mut [u32],
     ) {
         let nan = F64x4::splat(f64::NAN);
         let mut ax = [0.0; LANE_BLOCK];
@@ -679,9 +665,6 @@ impl CompiledPwl {
             ax[i] = a;
             ay[i] = y0;
             m[i] = mm;
-            if SEGS {
-                segs[i] = s as u32;
-            }
         }
         for g in 0..LANE_BLOCK / F64_LANES {
             let at = g * F64_LANES;
@@ -698,22 +681,14 @@ impl CompiledPwl {
     /// `(aₓ, a_y, m)` reads stay scalar. The kernel is structured as
     /// distributed passes over [`LANE_BLOCK`]-element blocks (vector
     /// count, scalar gather, vector evaluate) so each vector pass is a
-    /// clean lane loop the backend provably packs. With `SEGS` the
-    /// table-order segment index of each element is also written to
-    /// `segs` (index-aligned with `xs`, same length).
+    /// clean lane loop the backend provably packs.
     #[inline(always)]
-    fn eval_chunk_linear_lanes<const SEGS: bool>(
-        &self,
-        xs: &[f64],
-        out: &mut [f64],
-        segs: &mut [u32],
-    ) {
+    fn eval_chunk_linear_lanes(&self, xs: &[f64], out: &mut [f64]) {
         let n = self.breakpoints.len();
         let last = F64x4::splat(self.breakpoints[n - 1]);
         let nf = F64x4::splat(n as f64);
         let mut xi = xs.chunks_exact(LANE_BLOCK);
         let mut oi = out.chunks_exact_mut(LANE_BLOCK);
-        let mut base = 0usize;
         for (xc, oc) in (&mut xi).zip(&mut oi) {
             let xc: &[f64; LANE_BLOCK] = xc.try_into().unwrap();
             let oc: &mut [f64; LANE_BLOCK] = oc.try_into().unwrap();
@@ -732,15 +707,9 @@ impl CompiledPwl {
                 xv.ge(last).select(nf, cnt).write_to(&mut s_arr[at..]);
             }
             // Passes 2–3: coefficient gather + anchored multiply-add.
-            let seg_slice: &mut [u32] = if SEGS { &mut segs[base..] } else { &mut [] };
-            self.eval_block_from_segments::<SEGS>(xc, &s_arr, oc, seg_slice);
-            base += LANE_BLOCK;
+            self.eval_block_from_segments(xc, &s_arr, oc);
         }
-        if SEGS {
-            self.eval_segments_remainder(&xs[base..], &mut out[base..], &mut segs[base..]);
-        } else {
-            self.eval_chunk_linear_ref(xi.remainder(), oi.into_remainder());
-        }
+        self.eval_chunk_linear_ref(xi.remainder(), oi.into_remainder());
     }
 
     /// SIMD lane kernel for deep tables with `window ≤ 2`: bucket
@@ -753,15 +722,9 @@ impl CompiledPwl {
     /// triples riding in the same cache line (`window ≤ 2` proves the
     /// count is `seed` or `seed + 1`), and a conditional move retargets
     /// the right outer segment — no dependent seed → breakpoint →
-    /// coefficient walk. With `SEGS` the segment indices are also written
-    /// (see [`Self::eval_chunk_linear_lanes`]).
+    /// coefficient walk.
     #[inline(always)]
-    fn eval_chunk_bucket2_lanes<const SEGS: bool>(
-        &self,
-        xs: &[f64],
-        out: &mut [f64],
-        segs: &mut [u32],
-    ) {
+    fn eval_chunk_bucket2_lanes(&self, xs: &[f64], out: &mut [f64]) {
         debug_assert!(self.window <= 2 && !self.bucket_line.is_empty());
         let n = self.breakpoints.len();
         let last = self.breakpoints[n - 1];
@@ -774,7 +737,6 @@ impl CompiledPwl {
         let right = [self.anchor_x[n], self.anchor_y[n], self.slope[n]];
         let mut xi = xs.chunks_exact(LANE_BLOCK);
         let mut oi = out.chunks_exact_mut(LANE_BLOCK);
-        let mut base = 0usize;
         for (xc, oc) in (&mut xi).zip(&mut oi) {
             let xc: &[f64; LANE_BLOCK] = xc.try_into().unwrap();
             let oc: &mut [f64; LANE_BLOCK] = oc.try_into().unwrap();
@@ -810,12 +772,6 @@ impl CompiledPwl {
                 ax[i] = cand[0];
                 ay[i] = cand[1];
                 m[i] = cand[2];
-                if SEGS {
-                    // SAFETY: line[1] is the seed, an exact small f64.
-                    let seed = unsafe { line[1].to_int_unchecked::<usize>() };
-                    let seg = if x >= last { n } else { seed + k };
-                    segs[base + i] = seg as u32;
-                }
             }
             // Pass 3 (vector): anchored multiply-add + NaN screen.
             for g in 0..LANE_BLOCK / F64_LANES {
@@ -825,26 +781,8 @@ impl CompiledPwl {
                     + F64x4::from_slice(&ay[at..]);
                 xv.is_nan().select(nan, y).write_to(&mut oc[at..]);
             }
-            base += LANE_BLOCK;
         }
-        if SEGS {
-            self.eval_segments_remainder(&xs[base..], &mut out[base..], &mut segs[base..]);
-        } else {
-            self.eval_chunk_bucket2_ref(xi.remainder(), oi.into_remainder());
-        }
-    }
-
-    /// Scalar tail for the combined value + segment-index kernels.
-    fn eval_segments_remainder(&self, xs: &[f64], out: &mut [f64], segs: &mut [u32]) {
-        for ((&x, o), sg) in xs.iter().zip(out.iter_mut()).zip(segs.iter_mut()) {
-            let s = self.segment_index(x);
-            *sg = s as u32;
-            *o = if x.is_nan() {
-                f64::NAN
-            } else {
-                self.eval_at_segment(x, s)
-            };
-        }
+        self.eval_chunk_bucket2_ref(xi.remainder(), oi.into_remainder());
     }
 
     /// Runtime-dispatched linear kernel: on x86-64 the lane body is
@@ -852,63 +790,43 @@ impl CompiledPwl {
     /// and selected when the CPU supports it, so the lane loops lower to
     /// 256-bit packed instructions; elsewhere the baseline-target build
     /// of the same source runs.
-    fn eval_chunk_linear_simd<const SEGS: bool>(
-        &self,
-        xs: &[f64],
-        out: &mut [f64],
-        segs: &mut [u32],
-    ) {
+    fn eval_chunk_linear_simd(&self, xs: &[f64], out: &mut [f64]) {
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY: AVX2 support was verified at runtime just above.
-            return unsafe { self.eval_chunk_linear_avx2::<SEGS>(xs, out, segs) };
+            return unsafe { self.eval_chunk_linear_avx2(xs, out) };
         }
-        self.eval_chunk_linear_lanes::<SEGS>(xs, out, segs);
+        self.eval_chunk_linear_lanes(xs, out);
     }
 
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn eval_chunk_linear_avx2<const SEGS: bool>(
-        &self,
-        xs: &[f64],
-        out: &mut [f64],
-        segs: &mut [u32],
-    ) {
-        self.eval_chunk_linear_lanes::<SEGS>(xs, out, segs);
+    unsafe fn eval_chunk_linear_avx2(&self, xs: &[f64], out: &mut [f64]) {
+        self.eval_chunk_linear_lanes(xs, out);
     }
 
     /// Runtime-dispatched bucket kernel: the AVX-512 gather kernel where
     /// the CPU has it, otherwise the portable lane kernel (compiled under
     /// AVX2 when available, baseline elsewhere).
-    fn eval_chunk_bucket2_simd<const SEGS: bool>(
-        &self,
-        xs: &[f64],
-        out: &mut [f64],
-        segs: &mut [u32],
-    ) {
+    fn eval_chunk_bucket2_simd(&self, xs: &[f64], out: &mut [f64]) {
         #[cfg(target_arch = "x86_64")]
         {
             if std::arch::is_x86_feature_detected!("avx512f") {
                 // SAFETY: AVX-512F support was verified at runtime.
-                return unsafe { self.eval_chunk_bucket2_avx512::<SEGS>(xs, out, segs) };
+                return unsafe { self.eval_chunk_bucket2_avx512(xs, out) };
             }
             if std::arch::is_x86_feature_detected!("avx2") {
                 // SAFETY: AVX2 support was verified at runtime.
-                return unsafe { self.eval_chunk_bucket2_avx2::<SEGS>(xs, out, segs) };
+                return unsafe { self.eval_chunk_bucket2_avx2(xs, out) };
             }
         }
-        self.eval_chunk_bucket2_lanes::<SEGS>(xs, out, segs);
+        self.eval_chunk_bucket2_lanes(xs, out);
     }
 
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn eval_chunk_bucket2_avx2<const SEGS: bool>(
-        &self,
-        xs: &[f64],
-        out: &mut [f64],
-        segs: &mut [u32],
-    ) {
-        self.eval_chunk_bucket2_lanes::<SEGS>(xs, out, segs);
+    unsafe fn eval_chunk_bucket2_avx2(&self, xs: &[f64], out: &mut [f64]) {
+        self.eval_chunk_bucket2_lanes(xs, out);
     }
 
     /// AVX-512 bucket kernel: eight lanes per iteration, fully in
@@ -921,12 +839,7 @@ impl CompiledPwl {
     /// contraction), so results stay bit-identical.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f")]
-    unsafe fn eval_chunk_bucket2_avx512<const SEGS: bool>(
-        &self,
-        xs: &[f64],
-        out: &mut [f64],
-        segs: &mut [u32],
-    ) {
+    unsafe fn eval_chunk_bucket2_avx512(&self, xs: &[f64], out: &mut [f64]) {
         use core::arch::x86_64::*;
         debug_assert!(self.window <= 2 && !self.bucket_line.is_empty());
         const W: usize = 8;
@@ -942,7 +855,6 @@ impl CompiledPwl {
         let lines = self.bucket_line.as_ptr() as *const f64;
         let mut xi = xs.chunks_exact(W);
         let mut oi = out.chunks_exact_mut(W);
-        let mut base = 0usize;
         for (xc, oc) in (&mut xi).zip(&mut oi) {
             // SAFETY: xc has exactly W elements.
             let xv = _mm512_loadu_pd(xc.as_ptr());
@@ -975,25 +887,15 @@ impl CompiledPwl {
             let y = _mm512_add_pd(_mm512_mul_pd(m, _mm512_sub_pd(xv, ax)), ay);
             let y = _mm512_mask_blend_pd(_mm512_cmp_pd_mask(xv, xv, _CMP_UNORD_Q), y, nan);
             _mm512_storeu_pd(oc.as_mut_ptr(), y);
-            if SEGS {
-                // SAFETY: segs is as long as xs; si holds 8 i32 segment
-                // indices whose bits are the u32 values we store.
-                _mm256_storeu_si256(segs.as_mut_ptr().add(base) as *mut __m256i, si);
-            }
-            base += W;
         }
-        if SEGS {
-            self.eval_segments_remainder(&xs[base..], &mut out[base..], &mut segs[base..]);
-        } else {
-            self.eval_chunk_bucket2_ref(xi.remainder(), oi.into_remainder());
-        }
+        self.eval_chunk_bucket2_ref(xi.remainder(), oi.into_remainder());
     }
 
     fn eval_chunk(&self, xs: &[f64], out: &mut [f64]) {
         if self.num_segments() <= LINEAR_SCAN_MAX_SEGMENTS {
-            self.eval_chunk_linear_simd::<false>(xs, out, &mut []);
+            self.eval_chunk_linear_simd(xs, out);
         } else if self.window <= 2 {
-            self.eval_chunk_bucket2_simd::<false>(xs, out, &mut []);
+            self.eval_chunk_bucket2_simd(xs, out);
         } else {
             self.eval_chunk_search(xs, out);
         }
@@ -1043,38 +945,6 @@ impl CompiledPwl {
     /// Panics if the output lengths do not sum to `xs.len()`.
     pub fn eval_scatter_into(&self, xs: &[f64], outs: &mut [&mut [f64]]) {
         scatter_into::<f64>(self, xs, outs);
-    }
-
-    /// Evaluates every sample *and* records its table-order segment index
-    /// in one widened sweep — the entry point for consumers that need
-    /// both, like the optimizer's gradient kernel (value for the residual,
-    /// segment for the per-parameter accumulation). One pass through the
-    /// SIMD kernels replaces the former `segments_into` +
-    /// `eval_at_segment`-per-sample pair.
-    ///
-    /// Values are bit-identical to [`PwlEvaluator::eval_into`]; indices
-    /// are identical to [`Self::segments_into`] (NaN samples report
-    /// segment 0 and evaluate to NaN).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xs`, `out` and `segs` differ in length.
-    pub fn eval_and_segments_into(&self, xs: &[f64], out: &mut [f64], segs: &mut [u32]) {
-        assert_eq!(xs.len(), out.len(), "input/output length mismatch");
-        assert_eq!(xs.len(), segs.len(), "input/segment length mismatch");
-        for ((xc, oc), sc) in xs
-            .chunks(CHUNK)
-            .zip(out.chunks_mut(CHUNK))
-            .zip(segs.chunks_mut(CHUNK))
-        {
-            if self.num_segments() <= LINEAR_SCAN_MAX_SEGMENTS {
-                self.eval_chunk_linear_simd::<true>(xc, oc, sc);
-            } else if self.window <= 2 {
-                self.eval_chunk_bucket2_simd::<true>(xc, oc, sc);
-            } else {
-                self.eval_segments_remainder(xc, oc, sc);
-            }
-        }
     }
 }
 

@@ -196,24 +196,12 @@ impl CompiledPwlF32 {
 
     /// Recompiles `pwl` into this engine **in place**, reusing every
     /// internal allocation whose capacity still suffices — the f32
-    /// counterpart of [`CompiledPwl::refill_from_pwl`], so
-    /// `GradWorkspace`-style warm reuse stays allocation-free in single
+    /// counterpart of [`CompiledPwl::refill_from_pwl`], so a loop that
+    /// recompiles every iteration stays allocation-free in single
     /// precision too. The result is indistinguishable from a fresh
     /// [`CompiledPwlF32::from_pwl`].
     pub fn refill_from_pwl(&mut self, pwl: &PwlFunction) {
-        let p = pwl.breakpoints();
-        let v = pwl.values();
-        let n = p.len();
-        self.refill_inner(p, |s| {
-            if s == 0 {
-                [p[0], v[0], pwl.left_slope()]
-            } else if s < n {
-                // The exact f64 quotient the scalar reference computes.
-                [p[s - 1], v[s - 1], (v[s] - v[s - 1]) / (p[s] - p[s - 1])]
-            } else {
-                [p[n - 1], v[n - 1], pwl.right_slope()]
-            }
-        });
+        self.refill_inner(pwl.breakpoints(), |s| pwl.segment_line(s));
     }
 
     /// In-place conversion from a compiled f64 engine; see
@@ -550,12 +538,11 @@ impl CompiledPwlF32 {
     /// gather (pass 2), then the anchored multiply-add and NaN screen
     /// eight lanes wide (pass 3).
     #[inline(always)]
-    fn eval_block_from_segments<const SEGS: bool>(
+    fn eval_block_from_segments(
         &self,
         xc: &[f32; LANE_BLOCK],
         s_arr: &[f32; LANE_BLOCK],
         oc: &mut [f32; LANE_BLOCK],
-        segs: &mut [u32],
     ) {
         let nan = F32x8::splat(f32::NAN);
         let mut ax = [0.0; LANE_BLOCK];
@@ -569,9 +556,6 @@ impl CompiledPwlF32 {
             ax[i] = a;
             ay[i] = y0;
             m[i] = mm;
-            if SEGS {
-                segs[i] = s as u32;
-            }
         }
         for g in 0..LANE_BLOCK / F32_LANES {
             let at = g * F32_LANES;
@@ -589,18 +573,12 @@ impl CompiledPwlF32 {
     /// stay exact in f32 lanes — the linear path only runs for ≤ 8
     /// segments.
     #[inline(always)]
-    fn eval_chunk_linear_lanes<const SEGS: bool>(
-        &self,
-        xs: &[f32],
-        out: &mut [f32],
-        segs: &mut [u32],
-    ) {
+    fn eval_chunk_linear_lanes(&self, xs: &[f32], out: &mut [f32]) {
         let n = self.breakpoints.len();
         let last = F32x8::splat(self.breakpoints[n - 1]);
         let nf = F32x8::splat(n as f32);
         let mut xi = xs.chunks_exact(LANE_BLOCK);
         let mut oi = out.chunks_exact_mut(LANE_BLOCK);
-        let mut base = 0usize;
         for (xc, oc) in (&mut xi).zip(&mut oi) {
             let xc: &[f32; LANE_BLOCK] = xc.try_into().unwrap();
             let oc: &mut [f32; LANE_BLOCK] = oc.try_into().unwrap();
@@ -617,15 +595,9 @@ impl CompiledPwlF32 {
                 }
                 xv.ge(last).select(nf, cnt).write_to(&mut s_arr[at..]);
             }
-            let seg_slice: &mut [u32] = if SEGS { &mut segs[base..] } else { &mut [] };
-            self.eval_block_from_segments::<SEGS>(xc, &s_arr, oc, seg_slice);
-            base += LANE_BLOCK;
+            self.eval_block_from_segments(xc, &s_arr, oc);
         }
-        if SEGS {
-            self.eval_segments_remainder(&xs[base..], &mut out[base..], &mut segs[base..]);
-        } else {
-            self.eval_chunk_linear_ref(xi.remainder(), oi.into_remainder());
-        }
+        self.eval_chunk_linear_ref(xi.remainder(), oi.into_remainder());
     }
 
     /// SIMD lane kernel for deep tables with `window ≤ 2`: bucket map,
@@ -634,12 +606,7 @@ impl CompiledPwlF32 {
     /// load — one comparison picks between the two candidate triples in
     /// the line, a conditional move retargets the right outer segment.
     #[inline(always)]
-    fn eval_chunk_bucket2_lanes<const SEGS: bool>(
-        &self,
-        xs: &[f32],
-        out: &mut [f32],
-        segs: &mut [u32],
-    ) {
+    fn eval_chunk_bucket2_lanes(&self, xs: &[f32], out: &mut [f32]) {
         debug_assert!(self.use_bucket2());
         let n = self.breakpoints.len();
         let last = self.breakpoints[n - 1];
@@ -651,7 +618,6 @@ impl CompiledPwlF32 {
         let right = [self.anchor_x[n], self.anchor_y[n], self.slope[n]];
         let mut xi = xs.chunks_exact(LANE_BLOCK);
         let mut oi = out.chunks_exact_mut(LANE_BLOCK);
-        let mut base = 0usize;
         for (xc, oc) in (&mut xi).zip(&mut oi) {
             let xc: &[f32; LANE_BLOCK] = xc.try_into().unwrap();
             let oc: &mut [f32; LANE_BLOCK] = oc.try_into().unwrap();
@@ -685,12 +651,6 @@ impl CompiledPwlF32 {
                 ax[i] = cand[0];
                 ay[i] = cand[1];
                 m[i] = cand[2];
-                if SEGS {
-                    // SAFETY: line[1] is the seed, an exact small f32.
-                    let seed = unsafe { line[1].to_int_unchecked::<usize>() };
-                    let seg = if x >= last { n } else { seed + k };
-                    segs[base + i] = seg as u32;
-                }
             }
             // Pass 3 (vector): anchored multiply-add + NaN screen.
             for g in 0..LANE_BLOCK / F32_LANES {
@@ -700,95 +660,57 @@ impl CompiledPwlF32 {
                     + F32x8::from_slice(&ay[at..]);
                 xv.is_nan().select(nan, y).write_to(&mut oc[at..]);
             }
-            base += LANE_BLOCK;
         }
-        if SEGS {
-            self.eval_segments_remainder(&xs[base..], &mut out[base..], &mut segs[base..]);
-        } else {
-            self.eval_chunk_bucket2_ref(xi.remainder(), oi.into_remainder());
-        }
-    }
-
-    /// Scalar tail for the combined value + segment-index kernels.
-    fn eval_segments_remainder(&self, xs: &[f32], out: &mut [f32], segs: &mut [u32]) {
-        for ((&x, o), sg) in xs.iter().zip(out.iter_mut()).zip(segs.iter_mut()) {
-            let s = self.segment_index(x);
-            *sg = s as u32;
-            *o = if x.is_nan() {
-                f32::NAN
-            } else {
-                self.eval_at_segment(x, s)
-            };
-        }
+        self.eval_chunk_bucket2_ref(xi.remainder(), oi.into_remainder());
     }
 
     /// Runtime-dispatched linear kernel: the AVX-512 sixteen-wide
     /// gather kernel where the CPU has it — the wider-lane step the
     /// `simd` module has pointed at since PR 2 — otherwise the portable
     /// lane body, recompiled under AVX2 when available.
-    fn eval_chunk_linear_simd<const SEGS: bool>(
-        &self,
-        xs: &[f32],
-        out: &mut [f32],
-        segs: &mut [u32],
-    ) {
+    fn eval_chunk_linear_simd(&self, xs: &[f32], out: &mut [f32]) {
         #[cfg(target_arch = "x86_64")]
         {
             if std::arch::is_x86_feature_detected!("avx512f") {
                 // SAFETY: AVX-512F support was verified at runtime.
-                return unsafe { self.eval_chunk_linear_avx512::<SEGS>(xs, out, segs) };
+                return unsafe { self.eval_chunk_linear_avx512(xs, out) };
             }
             if std::arch::is_x86_feature_detected!("avx2") {
                 // SAFETY: AVX2 support was verified at runtime.
-                return unsafe { self.eval_chunk_linear_avx2::<SEGS>(xs, out, segs) };
+                return unsafe { self.eval_chunk_linear_avx2(xs, out) };
             }
         }
-        self.eval_chunk_linear_lanes::<SEGS>(xs, out, segs);
+        self.eval_chunk_linear_lanes(xs, out);
     }
 
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn eval_chunk_linear_avx2<const SEGS: bool>(
-        &self,
-        xs: &[f32],
-        out: &mut [f32],
-        segs: &mut [u32],
-    ) {
-        self.eval_chunk_linear_lanes::<SEGS>(xs, out, segs);
+    unsafe fn eval_chunk_linear_avx2(&self, xs: &[f32], out: &mut [f32]) {
+        self.eval_chunk_linear_lanes(xs, out);
     }
 
     /// Runtime-dispatched bucket kernel: the AVX-512 sixteen-wide gather
     /// kernel where the CPU has it, otherwise the portable lane body,
     /// recompiled under AVX2 when available.
-    fn eval_chunk_bucket2_simd<const SEGS: bool>(
-        &self,
-        xs: &[f32],
-        out: &mut [f32],
-        segs: &mut [u32],
-    ) {
+    fn eval_chunk_bucket2_simd(&self, xs: &[f32], out: &mut [f32]) {
         #[cfg(target_arch = "x86_64")]
         {
             if std::arch::is_x86_feature_detected!("avx512f") {
                 // SAFETY: AVX-512F support was verified at runtime.
-                return unsafe { self.eval_chunk_bucket2_avx512::<SEGS>(xs, out, segs) };
+                return unsafe { self.eval_chunk_bucket2_avx512(xs, out) };
             }
             if std::arch::is_x86_feature_detected!("avx2") {
                 // SAFETY: AVX2 support was verified at runtime.
-                return unsafe { self.eval_chunk_bucket2_avx2::<SEGS>(xs, out, segs) };
+                return unsafe { self.eval_chunk_bucket2_avx2(xs, out) };
             }
         }
-        self.eval_chunk_bucket2_lanes::<SEGS>(xs, out, segs);
+        self.eval_chunk_bucket2_lanes(xs, out);
     }
 
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn eval_chunk_bucket2_avx2<const SEGS: bool>(
-        &self,
-        xs: &[f32],
-        out: &mut [f32],
-        segs: &mut [u32],
-    ) {
-        self.eval_chunk_bucket2_lanes::<SEGS>(xs, out, segs);
+    unsafe fn eval_chunk_bucket2_avx2(&self, xs: &[f32], out: &mut [f32]) {
+        self.eval_chunk_bucket2_lanes(xs, out);
     }
 
     /// AVX-512 bucket kernel: sixteen lanes per iteration, fully in
@@ -809,12 +731,7 @@ impl CompiledPwlF32 {
     /// from, so results stay bit-identical.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f")]
-    unsafe fn eval_chunk_bucket2_avx512<const SEGS: bool>(
-        &self,
-        xs: &[f32],
-        out: &mut [f32],
-        segs: &mut [u32],
-    ) {
+    unsafe fn eval_chunk_bucket2_avx512(&self, xs: &[f32], out: &mut [f32]) {
         use core::arch::x86_64::*;
         debug_assert!(self.use_bucket2());
         const W: usize = 16;
@@ -823,10 +740,8 @@ impl CompiledPwlF32 {
         let inv_w = _mm512_set1_ps(self.bucket_inv_w);
         let hi_bucket = _mm512_set1_ps((self.bucket_seed.len() - 1) as f32);
         let zero = _mm512_setzero_ps();
-        let one = _mm512_set1_ps(1.0);
         let two = _mm512_set1_epi32(2);
         let three = _mm512_set1_epi32(3);
-        let nf = _mm512_set1_ps(n as f32);
         let last = _mm512_set1_ps(self.breakpoints[n - 1]);
         let nan = _mm512_set1_ps(f32::NAN);
         let right_ax = _mm512_set1_ps(self.anchor_x[n]);
@@ -835,7 +750,6 @@ impl CompiledPwlF32 {
         let lines = self.bucket_line.as_ptr() as *const f32;
         let mut xi = xs.chunks_exact(W);
         let mut oi = out.chunks_exact_mut(W);
-        let mut base = 0usize;
         for (xc, oc) in (&mut xi).zip(&mut oi) {
             // SAFETY: xc has exactly W elements.
             let xv = _mm512_loadu_ps(xc.as_ptr());
@@ -882,27 +796,8 @@ impl CompiledPwlF32 {
             let y = _mm512_add_ps(_mm512_mul_ps(m, _mm512_sub_ps(xv, ax)), ay);
             let y = _mm512_mask_blend_ps(_mm512_cmp_ps_mask(xv, xv, _CMP_UNORD_Q), y, nan);
             _mm512_storeu_ps(oc.as_mut_ptr(), y);
-            if SEGS {
-                // Segment index = seed + k (n at the right edge); the
-                // seed slot holds it as an exact f32 for n < 2²⁴, so the
-                // count arithmetic is exact. Gathered only in this
-                // variant — the value path never touches the seed.
-                let seed =
-                    _mm512_i32gather_ps::<4>(_mm512_add_epi32(bi8, _mm512_set1_epi32(1)), lines);
-                let c = _mm512_add_ps(seed, _mm512_maskz_mov_ps(kmask, one));
-                let s = _mm512_mask_blend_ps(ge, c, nf);
-                let si = _mm512_cvttps_epi32(s);
-                // SAFETY: segs is as long as xs; si holds 16 i32 segment
-                // indices whose bits are the u32 values we store.
-                _mm512_storeu_si512(segs.as_mut_ptr().add(base) as *mut __m512i, si);
-            }
-            base += W;
         }
-        if SEGS {
-            self.eval_segments_remainder(&xs[base..], &mut out[base..], &mut segs[base..]);
-        } else {
-            self.eval_chunk_bucket2_ref(xi.remainder(), oi.into_remainder());
-        }
+        self.eval_chunk_bucket2_ref(xi.remainder(), oi.into_remainder());
     }
 
     /// AVX-512 linear-scan kernel: sixteen lanes per iteration, fully in
@@ -913,12 +808,7 @@ impl CompiledPwlF32 {
     /// contraction), so results stay bit-identical.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f")]
-    unsafe fn eval_chunk_linear_avx512<const SEGS: bool>(
-        &self,
-        xs: &[f32],
-        out: &mut [f32],
-        segs: &mut [u32],
-    ) {
+    unsafe fn eval_chunk_linear_avx512(&self, xs: &[f32], out: &mut [f32]) {
         use core::arch::x86_64::*;
         const W: usize = 16;
         let n = self.breakpoints.len();
@@ -928,7 +818,6 @@ impl CompiledPwlF32 {
         let nan = _mm512_set1_ps(f32::NAN);
         let mut xi = xs.chunks_exact(W);
         let mut oi = out.chunks_exact_mut(W);
-        let mut base = 0usize;
         for (xc, oc) in (&mut xi).zip(&mut oi) {
             // SAFETY: xc has exactly W elements.
             let xv = _mm512_loadu_ps(xc.as_ptr());
@@ -951,25 +840,15 @@ impl CompiledPwlF32 {
             let y = _mm512_add_ps(_mm512_mul_ps(m, _mm512_sub_ps(xv, ax)), ay);
             let y = _mm512_mask_blend_ps(_mm512_cmp_ps_mask(xv, xv, _CMP_UNORD_Q), y, nan);
             _mm512_storeu_ps(oc.as_mut_ptr(), y);
-            if SEGS {
-                // SAFETY: segs is as long as xs; si holds 16 i32 segment
-                // indices whose bits are the u32 values we store.
-                _mm512_storeu_si512(segs.as_mut_ptr().add(base) as *mut __m512i, si);
-            }
-            base += W;
         }
-        if SEGS {
-            self.eval_segments_remainder(&xs[base..], &mut out[base..], &mut segs[base..]);
-        } else {
-            self.eval_chunk_linear_ref(xi.remainder(), oi.into_remainder());
-        }
+        self.eval_chunk_linear_ref(xi.remainder(), oi.into_remainder());
     }
 
     fn eval_chunk(&self, xs: &[f32], out: &mut [f32]) {
         if self.num_segments() <= LINEAR_SCAN_MAX_SEGMENTS {
-            self.eval_chunk_linear_simd::<false>(xs, out, &mut []);
+            self.eval_chunk_linear_simd(xs, out);
         } else if self.use_bucket2() {
-            self.eval_chunk_bucket2_simd::<false>(xs, out, &mut []);
+            self.eval_chunk_bucket2_simd(xs, out);
         } else {
             self.eval_chunk_search(xs, out);
         }
@@ -1027,33 +906,6 @@ impl CompiledPwlF32 {
     /// Panics if the output lengths do not sum to `xs.len()`.
     pub fn eval_scatter_into(&self, xs: &[f32], outs: &mut [&mut [f32]]) {
         scatter_into::<f32>(self, xs, outs);
-    }
-
-    /// Evaluates every sample *and* records its table-order segment
-    /// index in one widened sweep — the f32 mirror of
-    /// [`CompiledPwl::eval_and_segments_into`]. Values are bit-identical
-    /// to [`CompiledPwlF32::eval_into`]; NaN samples report segment 0
-    /// and evaluate to NaN.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xs`, `out` and `segs` differ in length.
-    pub fn eval_and_segments_into(&self, xs: &[f32], out: &mut [f32], segs: &mut [u32]) {
-        assert_eq!(xs.len(), out.len(), "input/output length mismatch");
-        assert_eq!(xs.len(), segs.len(), "input/segment length mismatch");
-        for ((xc, oc), sc) in xs
-            .chunks(CHUNK)
-            .zip(out.chunks_mut(CHUNK))
-            .zip(segs.chunks_mut(CHUNK))
-        {
-            if self.num_segments() <= LINEAR_SCAN_MAX_SEGMENTS {
-                self.eval_chunk_linear_simd::<true>(xc, oc, sc);
-            } else if self.use_bucket2() {
-                self.eval_chunk_bucket2_simd::<true>(xc, oc, sc);
-            } else {
-                self.eval_segments_remainder(xc, oc, sc);
-            }
-        }
     }
 }
 
@@ -1207,10 +1059,7 @@ mod tests {
             let xs = dense_grid(-4.0, 4.0, 513);
             let mut segs = vec![0u32; xs.len()];
             c.segments_into(&xs, &mut segs);
-            let mut out = vec![0.0f32; xs.len()];
-            let mut segs2 = vec![0u32; xs.len()];
-            c.eval_and_segments_into(&xs, &mut out, &mut segs2);
-            assert_eq!(segs, segs2);
+            let out = c.eval_batch(&xs);
             for ((&x, &s), &y) in xs.iter().zip(&segs).zip(&out) {
                 assert_eq!(y.to_bits(), c.eval_at_segment(x, s as usize).to_bits());
                 assert_eq!(y.to_bits(), c.eval_one(x).to_bits());

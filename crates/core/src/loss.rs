@@ -36,11 +36,12 @@ fn pieces(pwl: &PwlFunction, a: f64, b: f64) -> Vec<(f64, f64)> {
 }
 
 /// Composite Simpson integral of the squared error `(f̂ − f)²` over
-/// `[lo, hi]`, with the PWL side batch-evaluated through the engine's
-/// SIMD lane kernels (one `eval_into` sweep per piece instead of a
-/// segment lookup per sample). Evaluation points and accumulation order
-/// match the scalar formulation exactly.
-fn simpson_sq_err(engine: &CompiledPwl, f: &dyn Activation, lo: f64, hi: f64) -> f64 {
+/// `[lo, hi]`. The evaluation points ascend, so the PWL side is one
+/// [`PwlFunction::segment_runs`] walk, each run evaluated on its
+/// [`PwlFunction::segment_line`] — bit-identical to the compiled engine
+/// without building its bucket index for 129 points. Evaluation points
+/// and accumulation order match the scalar formulation exactly.
+fn simpson_sq_err(pwl: &PwlFunction, f: &dyn Activation, lo: f64, hi: f64) -> f64 {
     let h = (hi - lo) / SIMPSON_STEPS as f64;
     let mut xs = [0.0; SIMPSON_STEPS + 1];
     for (k, x) in xs.iter_mut().enumerate() {
@@ -48,7 +49,12 @@ fn simpson_sq_err(engine: &CompiledPwl, f: &dyn Activation, lo: f64, hi: f64) ->
     }
     xs[SIMPSON_STEPS] = hi;
     let mut ys = [0.0; SIMPSON_STEPS + 1];
-    engine.eval_into(&xs, &mut ys);
+    for (s, run) in pwl.segment_runs(&xs) {
+        let [ax, ay, m] = pwl.segment_line(s);
+        for k in run {
+            ys[k] = m * (xs[k] - ax) + ay;
+        }
+    }
     let sq = |k: usize| {
         let e = ys[k] - f.eval(xs[k]);
         e * e
@@ -79,23 +85,9 @@ fn simpson_sq_err(engine: &CompiledPwl, f: &dyn Activation, lo: f64, hi: f64) ->
 /// # Ok::<(), flexsfu_core::PwlError>(())
 /// ```
 pub fn integral_mse(pwl: &PwlFunction, f: &dyn Activation, a: f64, b: f64) -> f64 {
-    // Compile once: the integrand below hits the function thousands of
-    // times, and the engine evaluates bit-identically to `pwl.eval`.
-    integral_mse_compiled(pwl, &pwl.compile(), f, a, b)
-}
-
-/// [`integral_mse`] through an already-compiled engine — for callers that
-/// evaluate several metrics (or several pieces) of one function.
-pub fn integral_mse_compiled(
-    pwl: &PwlFunction,
-    engine: &CompiledPwl,
-    f: &dyn Activation,
-    a: f64,
-    b: f64,
-) -> f64 {
     let mut total = 0.0;
     for (lo, hi) in pieces(pwl, a, b) {
-        total += simpson_sq_err(engine, f, lo, hi);
+        total += simpson_sq_err(pwl, f, lo, hi);
     }
     total / (b - a)
 }
@@ -103,15 +95,13 @@ pub fn integral_mse_compiled(
 /// The integral MSE of one segment piece `[lo, hi]`, *not* normalized —
 /// the quantity inside the paper's insertion loss
 /// `ℓᵢⁱⁿˢ = (p_{i+1} − pᵢ) · L_[pᵢ, p_{i+1}]`.
+///
+/// # Panics
+///
+/// Panics if `lo >= hi`.
 pub fn piece_sse(pwl: &PwlFunction, f: &dyn Activation, lo: f64, hi: f64) -> f64 {
-    piece_sse_compiled(&pwl.compile(), f, lo, hi)
-}
-
-/// [`piece_sse`] through an already-compiled engine — the insertion-loss
-/// sweep evaluates every segment of one function, so it compiles once.
-pub fn piece_sse_compiled(engine: &CompiledPwl, f: &dyn Activation, lo: f64, hi: f64) -> f64 {
     assert!(lo < hi, "empty piece");
-    simpson_sq_err(engine, f, lo, hi)
+    simpson_sq_err(pwl, f, lo, hi)
 }
 
 /// Maximum absolute error over `[a, b]` (the paper's MAE axis in
@@ -249,11 +239,11 @@ pub struct LossReport {
 
 impl LossReport {
     /// Computes MSE, MAE and AAE of `pwl` against `f` on `[a, b]`,
-    /// compiling the function once for all three metrics.
+    /// compiling the function once for the two scanned metrics.
     pub fn compute(pwl: &PwlFunction, f: &dyn Activation, a: f64, b: f64) -> Self {
         let engine = pwl.compile();
         Self {
-            mse: integral_mse_compiled(pwl, &engine, f, a, b),
+            mse: integral_mse(pwl, f, a, b),
             mae: max_abs_error_compiled(pwl, &engine, f, a, b),
             aae: integral_aae_compiled(pwl, &engine, f, a, b),
         }

@@ -2,6 +2,7 @@
 //! function with asymptotic outer segments.
 
 use crate::error::PwlError;
+use std::ops::Range;
 
 /// Which piece of the domain an input falls into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,6 +149,98 @@ impl PwlFunction {
         // 1..n-1 here; segment i spans (p_i, p_{i+1}).
         let idx = self.breakpoints.partition_point(|&p| p < x);
         Region::Inner(idx - 1)
+    }
+
+    /// The table-order segment of a non-NaN `x` (`0` left outer, `i + 1`
+    /// inner segment `i`, `n` right outer): [`Self::region`] as an index,
+    /// and exactly what [`crate::CompiledPwl::segment_index`] returns.
+    fn segment_of(&self, x: f64) -> usize {
+        match self.region(x) {
+            Region::Left => 0,
+            Region::Inner(i) => i + 1,
+            Region::Right => self.breakpoints.len(),
+        }
+    }
+
+    /// Splits sorted points into runs that share a segment, in one merge
+    /// walk against the breakpoints: yields `(segment, range)` with
+    /// `xs[range]` all in table-order segment `segment`, the ranges
+    /// contiguous and covering `xs` in order, each non-empty.
+    ///
+    /// The assignment is exactly [`crate::CompiledPwl::segments_into`]'s
+    /// (`x ≤ p₀` → 0, `x ≥ p_{n-1}` → n, otherwise the count of
+    /// breakpoints `< x`), so evaluating each run with its
+    /// [`Self::segment_line`] reproduces the engine bit for bit — without
+    /// building the engine's bucket index. This is how the optimizer
+    /// sweeps its fixed, sorted loss grid.
+    ///
+    /// `xs` must be sorted ascending and NaN-free. Debug builds assert
+    /// it; release builds yield unspecified runs (the walk still
+    /// terminates).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use flexsfu_core::PwlFunction;
+    ///
+    /// let pwl = PwlFunction::new(vec![-1.0, 1.0], vec![-1.0, 1.0], 0.0, 0.0)?;
+    /// let xs = [-2.0, -1.0, 0.0, 0.5, 1.0, 3.0];
+    /// let runs: Vec<_> = pwl.segment_runs(&xs).collect();
+    /// assert_eq!(runs, vec![(0, 0..2), (1, 2..4), (2, 4..6)]);
+    /// # Ok::<(), flexsfu_core::PwlError>(())
+    /// ```
+    pub fn segment_runs<'a>(
+        &'a self,
+        xs: &'a [f64],
+    ) -> impl Iterator<Item = (usize, Range<usize>)> + 'a {
+        debug_assert!(
+            xs.windows(2).all(|w| w[0] <= w[1]),
+            "segment_runs needs sorted, NaN-free points"
+        );
+        let p = &self.breakpoints;
+        let n = p.len();
+        let mut start = 0;
+        std::iter::from_fn(move || {
+            let &x = xs.get(start)?;
+            let s = self.segment_of(x);
+            // Segment s keeps every later point up to its right edge:
+            // p_s inclusive for s ≤ n − 2, p_{n-1} exclusive for the last
+            // inner segment (p_{n-1} itself is the right outer one's).
+            let rest = &xs[start + 1..];
+            let len = 1 + if s + 2 <= n {
+                rest.partition_point(|&y| y <= p[s])
+            } else if s + 1 == n {
+                rest.partition_point(|&y| y < p[n - 1])
+            } else {
+                rest.len()
+            };
+            let run = (s, start..start + len);
+            start += len;
+            Some(run)
+        })
+    }
+
+    /// The anchored line `[aₓ, a_y, m]` of table-order segment `s`: the
+    /// segment evaluates as `m·(x − aₓ) + a_y`. Outer segments anchor at
+    /// their end breakpoint with the boundary slope; inner segment `i`
+    /// anchors at `(pᵢ, vᵢ)` with the slope quotient [`Self::eval`]
+    /// computes per call. Both compiled engines store exactly these
+    /// values.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s > n`.
+    pub fn segment_line(&self, s: usize) -> [f64; 3] {
+        let (p, v) = (&self.breakpoints, &self.values);
+        let n = p.len();
+        assert!(s <= n, "segment {s} out of range for {n} breakpoints");
+        if s == 0 {
+            [p[0], v[0], self.left_slope]
+        } else if s < n {
+            [p[s - 1], v[s - 1], (v[s] - v[s - 1]) / (p[s] - p[s - 1])]
+        } else {
+            [p[n - 1], v[n - 1], self.right_slope]
+        }
     }
 
     /// Evaluates the function at `x`.

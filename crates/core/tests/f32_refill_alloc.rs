@@ -1,7 +1,7 @@
 //! Allocator-traffic pinning for `CompiledPwlF32::refill_from_*` — the
-//! f32 counterpart of the f64 engine's warm-reuse contract: an
-//! optimizer loop (GradWorkspace-style) that recompiles the same-shaped
-//! table every step must not touch the heap once the workspace is warm.
+//! f32 counterpart of the f64 engine's warm-reuse contract: a loop that
+//! recompiles the same-shaped table every step must not touch the heap
+//! once the engine is warm.
 //!
 //! This binary holds exactly one test so the counting global allocator
 //! observes only the measured region (the libtest harness idles while

@@ -147,34 +147,6 @@ fn remainder_lengths_are_bit_identical() {
 }
 
 #[test]
-fn eval_and_segments_matches_eval_into_and_segments_into() {
-    for segments in SEGMENT_COUNTS {
-        let pwl = pwl_with_segments(segments);
-        let engine = CompiledPwl::from_pwl(&pwl);
-        let xs = adversarial_inputs(&pwl);
-        let mut ys = vec![0.0; xs.len()];
-        let mut segs = vec![0u32; xs.len()];
-        engine.eval_and_segments_into(&xs, &mut ys, &mut segs);
-        let want_ys = engine.eval_batch(&xs);
-        let mut want_segs = vec![0u32; xs.len()];
-        engine.segments_into(&xs, &mut want_segs);
-        for i in 0..xs.len() {
-            assert_eq!(
-                ys[i].to_bits(),
-                want_ys[i].to_bits(),
-                "{segments} segments: value at x = {:?}",
-                xs[i]
-            );
-            assert_eq!(
-                segs[i], want_segs[i],
-                "{segments} segments: segment at x = {:?}",
-                xs[i]
-            );
-        }
-    }
-}
-
-#[test]
 fn eval_scatter_into_matches_scalar_at_every_remainder_length() {
     // The serving front-end's entry point: packed evaluation scattered
     // into non-contiguous job slices. Job boundaries are deliberately
@@ -376,34 +348,6 @@ fn f32_remainder_lengths_are_bit_identical() {
                     );
                 }
             }
-        }
-    }
-}
-
-#[test]
-fn f32_eval_and_segments_matches_eval_into_and_segments_into() {
-    for segments in SEGMENT_COUNTS {
-        let pwl = pwl_with_segments(segments);
-        let engine = CompiledPwlF32::from_pwl(&pwl);
-        let xs = adversarial_inputs_f32(&pwl, &engine);
-        let mut ys = vec![0.0f32; xs.len()];
-        let mut segs = vec![0u32; xs.len()];
-        engine.eval_and_segments_into(&xs, &mut ys, &mut segs);
-        let want_ys = engine.eval_batch(&xs);
-        let mut want_segs = vec![0u32; xs.len()];
-        engine.segments_into(&xs, &mut want_segs);
-        for i in 0..xs.len() {
-            assert_eq!(
-                ys[i].to_bits(),
-                want_ys[i].to_bits(),
-                "{segments} segments: f32 value at x = {:?}",
-                xs[i]
-            );
-            assert_eq!(
-                segs[i], want_segs[i],
-                "{segments} segments: f32 segment at x = {:?}",
-                xs[i]
-            );
         }
     }
 }

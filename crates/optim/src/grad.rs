@@ -16,9 +16,15 @@
 //! Samples in the outer segments differentiate through the anchor
 //! breakpoint, its value and (when free) the boundary slope. Asymptote-tied
 //! boundaries contribute a chain-rule term `∂v/∂p = slope` instead.
+//!
+//! The grid is sorted, so every sweep here is one
+//! [`PwlFunction::segment_runs`] walk: each run of samples sharing a
+//! segment evaluates on that segment's [`PwlFunction::segment_line`],
+//! bit-identical to the compiled engine, and nothing is compiled per
+//! step.
 
 use flexsfu_core::boundary::BoundarySpec;
-use flexsfu_core::{CompiledPwl, PwlEvaluator, PwlFunction};
+use flexsfu_core::PwlFunction;
 use flexsfu_funcs::Activation;
 
 /// Gradient of the sampled loss with respect to each parameter family.
@@ -35,21 +41,16 @@ pub struct Gradient {
 }
 
 /// Reusable state for [`SampledProblem::loss_and_grad_compiled`]: the
-/// compiled engine plus every buffer one loss+gradient evaluation needs.
+/// gradient buffers one loss+gradient evaluation writes.
 ///
-/// [`SampledProblem::loss_and_grad`] compiles the function and allocates
-/// its value/segment/gradient buffers afresh on every call — fine for a
-/// handful of calls, pure allocator traffic inside an Adam loop that
-/// evaluates thousands of steps over a fixed-shape function. Holding a
-/// workspace across steps recompiles **in place**
-/// ([`CompiledPwl::refill_from_pwl`]) and reuses every buffer: after the
-/// first call, steps over a same-shaped function perform no heap
-/// allocation at all (pinned by `tests/compiled_grad.rs`).
+/// [`SampledProblem::loss_and_grad`] allocates a fresh [`Gradient`] on
+/// every call — fine for a handful of calls, pure allocator traffic
+/// inside an Adam loop that evaluates thousands of steps over a
+/// fixed-shape function. Holding a workspace across steps reuses the
+/// buffers: after the first call, steps over a same-shaped function
+/// perform no heap allocation at all (pinned by `tests/compiled_grad.rs`).
 #[derive(Debug, Clone, Default)]
 pub struct GradWorkspace {
-    engine: Option<CompiledPwl>,
-    ys: Vec<f64>,
-    segs: Vec<u32>,
     grad: Gradient,
 }
 
@@ -138,23 +139,16 @@ impl SampledProblem {
         &self.targets
     }
 
-    /// The sampled MSE of `pwl` against the precomputed targets.
-    ///
-    /// Compiles the function once and routes through the batch engine;
-    /// see [`Self::loss_compiled`] when a [`CompiledPwl`] is already at
-    /// hand.
+    /// The sampled MSE of `pwl` against the precomputed targets, in one
+    /// walk over the sorted grid (see the module docs).
     pub fn loss(&self, pwl: &PwlFunction) -> f64 {
-        self.loss_compiled(&pwl.compile())
-    }
-
-    /// The sampled MSE evaluated through an already-compiled engine.
-    pub fn loss_compiled(&self, engine: &CompiledPwl) -> f64 {
-        let mut ys = vec![0.0; self.xs.len()];
-        engine.eval_into(&self.xs, &mut ys);
         let mut acc = 0.0;
-        for (&y, &t) in ys.iter().zip(&self.targets) {
-            let e = y - t;
-            acc += e * e;
+        for (s, run) in pwl.segment_runs(&self.xs) {
+            let [ax, ay, m] = pwl.segment_line(s);
+            for (&x, &t) in self.xs[run.clone()].iter().zip(&self.targets[run]) {
+                let e = (m * (x - ax) + ay) - t;
+                acc += e * e;
+            }
         }
         acc / self.xs.len() as f64
     }
@@ -163,12 +157,10 @@ impl SampledProblem {
     /// ties of `spec` (tied sides: value gradient folded into the
     /// breakpoint via the chain rule, slope gradient zeroed).
     ///
-    /// The hot loop is batch-first: the function is compiled once, and a
-    /// single widened [`CompiledPwl::eval_and_segments_into`] sweep
-    /// produces every sample's value *and* segment index through the SIMD
-    /// lane kernels (the scalar path used to pay a binary search twice
-    /// per sample — once for the value, once for the region); the
-    /// gradient accumulation then reuses both.
+    /// One walk over the sorted grid classifies the samples a run at a
+    /// time; each run's value and gradient partials accumulate in locals
+    /// (same terms, same order as a per-sample scatter into the gradient
+    /// arrays, so the result is bit-identical to one).
     pub fn loss_and_grad(&self, pwl: &PwlFunction, spec: &BoundarySpec) -> (f64, Gradient) {
         let mut ws = GradWorkspace::new();
         let loss = self.loss_and_grad_compiled(pwl, spec, &mut ws);
@@ -176,9 +168,8 @@ impl SampledProblem {
     }
 
     /// [`Self::loss_and_grad`] through a caller-held [`GradWorkspace`]:
-    /// identical math and bit-identical results, but the engine is
-    /// recompiled in place and every buffer (values, segments, gradient)
-    /// is reused across calls — the per-step allocation cost of an Adam
+    /// identical math and bit-identical results, but the gradient buffers
+    /// are reused across calls — the per-step allocation cost of an Adam
     /// loop drops to zero once the workspace is warm. The gradient lands
     /// in [`GradWorkspace::gradient`]; the sampled loss is returned.
     pub fn loss_and_grad_compiled(
@@ -190,7 +181,6 @@ impl SampledProblem {
         let n = pwl.num_breakpoints();
         let p = pwl.breakpoints();
         let v = pwl.values();
-        let (ml, mr) = (pwl.left_slope(), pwl.right_slope());
         ws.grad.d_breakpoints.clear();
         ws.grad.d_breakpoints.resize(n, 0.0);
         ws.grad.d_values.clear();
@@ -201,42 +191,44 @@ impl SampledProblem {
         let mut dmr = 0.0;
         let mut loss = 0.0;
 
-        let engine = match &mut ws.engine {
-            Some(engine) => {
-                engine.refill_from_pwl(pwl);
-                engine
-            }
-            None => ws.engine.insert(CompiledPwl::from_pwl(pwl)),
-        };
-        ws.ys.resize(self.xs.len(), 0.0);
-        ws.segs.resize(self.xs.len(), 0);
-        engine.eval_and_segments_into(&self.xs, &mut ws.ys, &mut ws.segs);
-
         let inv_m = 1.0 / self.xs.len() as f64;
-        for (((&x, &t), &y), &seg) in self.xs.iter().zip(&self.targets).zip(&ws.ys).zip(&ws.segs) {
-            let s = seg as usize;
-            let e = y - t;
-            loss += e * e;
-            // d(e²)/dθ = 2e · df̂/dθ ; fold the 1/M and 2 at the end.
-            // Table order: segment 0 = left outer, n = right outer,
-            // s ∈ 1..n = inner segment s − 1.
-            if s == 0 {
-                dv[0] += e;
-                dp[0] += e * -ml;
-                dml += e * (x - p[0]);
-            } else if s == n {
-                dv[n - 1] += e;
-                dp[n - 1] += e * -mr;
-                dmr += e * (x - p[n - 1]);
+        // d(e²)/dθ = 2e · df̂/dθ ; fold the 1/M and 2 at the end.
+        // Table order: segment 0 = left outer, n = right outer,
+        // s ∈ 1..n = inner segment s − 1.
+        for (s, run) in pwl.segment_runs(&self.xs) {
+            let [ax, ay, m] = pwl.segment_line(s);
+            let samples = self.xs[run.clone()].iter().zip(&self.targets[run]);
+            if s == 0 || s == n {
+                // Outer segment: anchored at end breakpoint k, slope m.
+                let k = if s == 0 { 0 } else { n - 1 };
+                let dm = if s == 0 { &mut dml } else { &mut dmr };
+                let (mut gv, mut gp, mut gm) = (dv[k], dp[k], *dm);
+                for (&x, &t) in samples {
+                    let e = (m * (x - ax) + ay) - t;
+                    loss += e * e;
+                    gv += e;
+                    gp += e * -m;
+                    gm += e * (x - ax);
+                }
+                (dv[k], dp[k], *dm) = (gv, gp, gm);
             } else {
                 let i = s - 1;
-                let delta = p[i + 1] - p[i];
-                let tt = (x - p[i]) / delta;
+                let (p0, p1) = (p[i], p[i + 1]);
+                let delta = p1 - p0;
                 let dvdiff = v[i + 1] - v[i];
-                dv[i] += e * (1.0 - tt);
-                dv[i + 1] += e * tt;
-                dp[i] += e * dvdiff * (x - p[i + 1]) / (delta * delta);
-                dp[i + 1] += e * -dvdiff * (x - p[i]) / (delta * delta);
+                let (mut gv0, mut gv1) = (dv[i], dv[i + 1]);
+                let (mut gp0, mut gp1) = (dp[i], dp[i + 1]);
+                for (&x, &t) in samples {
+                    let e = (m * (x - ax) + ay) - t;
+                    loss += e * e;
+                    let tt = (x - p0) / delta;
+                    gv0 += e * (1.0 - tt);
+                    gv1 += e * tt;
+                    gp0 += e * dvdiff * (x - p1) / (delta * delta);
+                    gp1 += e * -dvdiff * (x - p0) / (delta * delta);
+                }
+                (dv[i], dv[i + 1]) = (gv0, gv1);
+                (dp[i], dp[i + 1]) = (gp0, gp1);
             }
         }
         let scale = 2.0 * inv_m;
@@ -392,9 +384,9 @@ mod tests {
 
     #[test]
     fn compiled_workspace_path_is_bit_identical_across_shapes() {
-        // The workspace recompiles in place; reusing one workspace across
-        // functions of different shapes must give exactly the fresh
-        // path's loss and gradient every time.
+        // Reusing one workspace across functions of different shapes
+        // must give exactly the fresh path's loss and gradient every
+        // time.
         let problem = SampledProblem::new(&Gelu, -8.0, 8.0, 801);
         let spec = BoundarySpec::from_activation(&Gelu);
         let shapes = [

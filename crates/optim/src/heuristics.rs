@@ -14,7 +14,7 @@
 //!   point).
 
 use flexsfu_core::boundary::BoundarySpec;
-use flexsfu_core::loss::{integral_mse, piece_sse_compiled};
+use flexsfu_core::loss::{integral_mse, piece_sse};
 use flexsfu_core::PwlFunction;
 use flexsfu_funcs::Activation;
 
@@ -78,9 +78,8 @@ pub fn best_removal(
 /// (between `pᵢ` and `p_{i+1}`), index-aligned with segments `0..n-1`.
 pub fn insertion_losses(pwl: &PwlFunction, f: &dyn Activation) -> Vec<f64> {
     let p = pwl.breakpoints();
-    let engine = pwl.compile();
     (0..p.len() - 1)
-        .map(|i| piece_sse_compiled(&engine, f, p[i], p[i + 1]))
+        .map(|i| piece_sse(pwl, f, p[i], p[i + 1]))
         .collect()
 }
 

@@ -208,9 +208,9 @@ fn train_round(
     let (a, b) = problem.range();
     let mut best = (problem.loss(&pwl), pwl.clone());
     let mut steps = 0;
-    // One workspace (engine + value/segment/gradient buffers) and one
-    // pair of flattened vectors for the whole round: after the first
-    // step the hot loop no longer touches the allocator.
+    // One workspace (gradient buffers) and one pair of flattened
+    // vectors for the whole round: after the first step the gradient
+    // sweep no longer touches the allocator.
     let mut ws = crate::grad::GradWorkspace::new();
     let mut params = Vec::with_capacity(dim);
     let mut grads = Vec::with_capacity(dim);

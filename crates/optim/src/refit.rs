@@ -14,25 +14,14 @@ use crate::grad::SampledProblem;
 use flexsfu_core::boundary::BoundarySpec;
 use flexsfu_core::PwlFunction;
 
-/// One Thomas-solve worth of scratch: the samples are classified in a
-/// single batch sweep through the compiled engine instead of a binary
-/// search per sample.
-fn classify_samples(pwl: &PwlFunction, problem: &SampledProblem) -> Vec<u32> {
-    let engine = pwl.compile();
-    let mut segs = vec![0u32; problem.len()];
-    engine.segments_into(problem.samples(), &mut segs);
-    segs
-}
-
 /// Returns a copy of `pwl` whose values are the least-squares optimum for
 /// the current breakpoints over the problem's sample grid, holding tied
 /// boundary values (and the outer slopes) fixed.
 ///
-/// # Panics
-///
-/// Panics if the sample grid does not touch every segment (cannot happen
-/// for grids ≥ 8× denser than the breakpoint count, which the optimizer
-/// guarantees).
+/// The normal equations accumulate in one [`PwlFunction::segment_runs`]
+/// walk over the sorted grid. A breakpoint whose hat no sample touches
+/// keeps its current value, and a numerically degenerate system returns
+/// `pwl` unchanged, so the refit never panics.
 pub fn refit_values(
     pwl: &PwlFunction,
     problem: &SampledProblem,
@@ -52,28 +41,36 @@ pub fn refit_values(
     let mut off = vec![0.0f64; n - 1];
     let mut rhs = vec![0.0f64; n];
 
-    let segs = classify_samples(pwl, problem);
-    for (k, &seg) in segs.iter().enumerate() {
-        let x = problem.sample(k);
-        let fx = problem.target(k);
+    let (xs, targets) = (problem.samples(), problem.targets());
+    for (s, run) in pwl.segment_runs(xs) {
+        let samples = xs[run.clone()].iter().zip(&targets[run]);
         // Table order: 0 = left outer, n = right outer, else inner s − 1.
-        let s = seg as usize;
-        if s == 0 {
-            // Left region: f̂ = v0 + ml (x - p0); only v0 participates.
-            diag[0] += 1.0;
-            rhs[0] += fx - ml * (x - p[0]);
-        } else if s == n {
-            diag[n - 1] += 1.0;
-            rhs[n - 1] += fx - mr * (x - p[n - 1]);
+        if s == 0 || s == n {
+            // Outer region: f̂ = v_k + slope·(x − p_k); only v_k
+            // participates.
+            let (k, slope) = if s == 0 { (0, ml) } else { (n - 1, mr) };
+            let (mut d, mut r) = (diag[k], rhs[k]);
+            for (&x, &fx) in samples {
+                d += 1.0;
+                r += fx - slope * (x - p[k]);
+            }
+            (diag[k], rhs[k]) = (d, r);
         } else {
             let (i0, i1) = (s - 1, s);
-            let t = (x - p[i0]) / (p[i1] - p[i0]);
-            let (h0, h1) = (1.0 - t, t);
-            diag[i0] += h0 * h0;
-            diag[i1] += h1 * h1;
-            off[i0] += h0 * h1;
-            rhs[i0] += h0 * fx;
-            rhs[i1] += h1 * fx;
+            let (p0, delta) = (p[i0], p[i1] - p[i0]);
+            let (mut d0, mut d1, mut o) = (diag[i0], diag[i1], off[i0]);
+            let (mut r0, mut r1) = (rhs[i0], rhs[i1]);
+            for (&x, &fx) in samples {
+                let t = (x - p0) / delta;
+                let (h0, h1) = (1.0 - t, t);
+                d0 += h0 * h0;
+                d1 += h1 * h1;
+                o += h0 * h1;
+                r0 += h0 * fx;
+                r1 += h1 * fx;
+            }
+            (diag[i0], diag[i1], off[i0]) = (d0, d1, o);
+            (rhs[i0], rhs[i1]) = (r0, r1);
         }
     }
 

@@ -1,13 +1,13 @@
-//! Allocator-traffic pinning for the compiled gradient path (the
+//! Allocator-traffic pinning for the workspace gradient path (the
 //! ROADMAP "engine-aware optimizer throughput" item): Adam-loop-shaped
-//! repeated `loss_and_grad_compiled` calls must not grow the heap —
-//! the workspace's engine recompiles in place and every buffer is
-//! reused.
+//! repeated `loss_and_grad_compiled` calls must not grow the heap. The
+//! sweep walks the sorted grid without compiling an engine, and the
+//! workspace's gradient buffers are reused.
 //!
 //! This binary holds exactly one test so the counting global allocator
 //! observes only the measured region (the libtest harness idles while
-//! the single test runs); the numeric parity of the compiled path is
-//! pinned separately in `grad.rs`'s unit tests.
+//! the single test runs); the numeric parity of the workspace path is
+//! pinned separately in `grad.rs`'s unit tests and `tests/walk_parity.rs`.
 
 use flexsfu_core::boundary::BoundarySpec;
 use flexsfu_core::PwlFunction;
@@ -78,7 +78,7 @@ fn compiled_grad_steps_do_not_grow_the_heap() {
     }
     let allocs_fresh = ALLOC_CALLS.load(Ordering::Relaxed) - before;
 
-    // Compiled path: warm the workspace, then measure.
+    // Workspace path: warm it, then measure.
     let mut ws = GradWorkspace::new();
     for pwl in steps.iter().take(3) {
         problem.loss_and_grad_compiled(pwl, &spec, &mut ws);
@@ -94,17 +94,17 @@ fn compiled_grad_steps_do_not_grow_the_heap() {
     assert!(acc.is_finite());
 
     // No net heap growth across steps, and (beyond stray harness
-    // activity) no per-step allocation at all — the fresh path pays
-    // dozens of allocations per step.
+    // activity) no per-step allocation at all — the fresh path pays two
+    // gradient vectors per step.
     assert_eq!(d_net, 0, "heap grew by {d_net} bytes over {STEPS} steps");
     assert!(
         d_calls <= 2,
-        "warm compiled steps allocated {d_calls} times over {STEPS} steps \
+        "warm workspace steps allocated {d_calls} times over {STEPS} steps \
          (allocating path: {allocs_fresh})"
     );
     assert!(
         allocs_fresh as f64 >= 50.0 * d_calls.max(1) as f64,
-        "compiled path should allocate orders of magnitude less \
-         (fresh {allocs_fresh} vs compiled {d_calls})"
+        "workspace path should allocate far less \
+         (fresh {allocs_fresh} vs workspace {d_calls})"
     );
 }
